@@ -6,20 +6,24 @@
 /// The paged run happens FIRST, before any in-memory copy of the data
 /// exists, so the sampled resident-set growth genuinely reflects the paged
 /// working set (pool frames + spill scratch + the served result), not the
-/// dataset. The run must
+/// dataset. The mix's join probes and aggregation inputs stream window by
+/// window and fit the budget; one extra statement, GROUP BY id, holds a
+/// group per fact row and must spill through external aggregation. The run
+/// must
 ///   - keep the RSS delta below the logical data size (bounded peak RSS),
-///   - record spills in system.query_profiles (both spill paths exercised),
+///   - record spills in system.query_profiles (the over-budget statement),
 ///   - and produce bit-identical results: every query's row-key checksum is
 ///     compared against a serial in-memory Database over the same data.
 ///
-/// Emits BENCH_oocore.json (mix_paged_sec / mix_inmem_sec / peak_rss_delta_mb
-/// / spill counters plus hardware_concurrency) for
-/// scripts/check_bench_regression.py. `--quick` shrinks the dataset for CI;
-/// the scale ratio stays >= 10x either way.
+/// Emits BENCH_oocore.json (mix_paged_sec / mix_inmem_sec /
+/// overbudget_paged_sec / peak_rss_delta_mb / spill counters plus
+/// hardware_concurrency) for scripts/check_bench_regression.py. `--quick`
+/// shrinks the dataset for CI; the scale ratio stays >= 10x either way.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,7 +47,7 @@ constexpr int64_t kSliceRows = 8192;  // load granularity (stays resident)
 
 // The fig8-style statement shapes: join, grouped aggregation, global
 // aggregation, filter+project. The join has no pushable single-side filter,
-// so the whole fact table reaches the join input and must spill.
+// so the whole fact table reaches the join's probe side.
 const char* const kMixSql[] = {
     "SELECT F.id, F.grp, D.w FROM fact F INNER JOIN dim D ON F.grp = D.id",
     "SELECT grp, count(*) AS c, sum(val) AS s, avg(val) AS a, "
@@ -52,6 +56,12 @@ const char* const kMixSql[] = {
     "SELECT id * 2 AS d, val + 1.0 AS v FROM fact WHERE grp < 7",
 };
 
+// One group per fact row: the group state outgrows the query budget
+// mid-stream, so the aggregation restarts as external aggregation. Timed
+// apart from the mix.
+const char* const kOverBudgetSql =
+    "SELECT id, count(*) AS c FROM fact GROUP BY id";
+
 struct ScaleConfig {
   int64_t fact_rows;
   size_t pool_bytes;
@@ -59,9 +69,8 @@ struct ScaleConfig {
 };
 
 /// Default exercises ~29 MB of data against a 2 MB pool (~14x); --quick
-/// shrinks to ~12 MB against 1 MB (~12x) for CI. The query memory limit must
-/// sit below the fact table (forcing the spill paths) but above the grace
-/// join's global pair vector (16 bytes per matching pair, one per fact row).
+/// shrinks to ~12 MB against 1 MB (~12x) for CI. The query memory limit sits
+/// below the fact table and below GROUP BY id's group state.
 ScaleConfig PickScale(bool quick) {
   if (quick) return {160000, 1u << 20, 4 << 20};
   return {400000, 2u << 20, 12 << 20};
@@ -141,22 +150,28 @@ uint64_t TableChecksum(const Table& t) {
 
 struct MixResult {
   double seconds = 0;
+  double overbudget_seconds = 0;
   int64_t max_rss_delta = 0;
+  /// The mix's checksums, then the over-budget statement's.
   std::vector<uint64_t> checksums;
 };
 
 MixResult RunMix(Database* db) {
   const int64_t rss_base = storage::StorageEngine::UpdateProcessRssMetrics();
   MixResult out;
-  Stopwatch watch;
-  for (const char* sql : kMixSql) {
+  auto run = [&](const char* sql) {
     auto r = db->Execute(sql);
     DL2SQL_CHECK(r.ok()) << sql << ": " << r.status().ToString();
     out.checksums.push_back(TableChecksum(*r));
     const int64_t rss = storage::StorageEngine::UpdateProcessRssMetrics();
     out.max_rss_delta = std::max(out.max_rss_delta, rss - rss_base);
-  }
-  out.seconds = watch.ElapsedSeconds();
+  };
+  Stopwatch mix_watch;
+  for (const char* sql : kMixSql) run(sql);
+  out.seconds = mix_watch.ElapsedSeconds();
+  Stopwatch overbudget_watch;
+  run(kOverBudgetSql);
+  out.overbudget_seconds = overbudget_watch.ElapsedSeconds();
   return out;
 }
 
@@ -219,10 +234,11 @@ int main(int argc, char** argv) {
       tracking ? SumProfileColumn(&paged, "spill_bytes") : 0;
   const int64_t spill_partitions =
       tracking ? SumProfileColumn(&paged, "spill_partitions") : 0;
-  std::printf("paged mix: %.3fs, max RSS delta %.1f MB, spill %.1f MB "
-              "across %lld partitions\n",
-              paged_run.seconds, ToMb(paged_run.max_rss_delta),
-              ToMb(spill_bytes), static_cast<long long>(spill_partitions));
+  std::printf("paged mix: %.3fs, over-budget GROUP BY id: %.3fs, max RSS "
+              "delta %.1f MB, spill %.1f MB across %lld partitions\n",
+              paged_run.seconds, paged_run.overbudget_seconds,
+              ToMb(paged_run.max_rss_delta), ToMb(spill_bytes),
+              static_cast<long long>(spill_partitions));
 
   // ---- serial in-memory reference over identical data.
   Database ref;
@@ -235,13 +251,15 @@ int main(int argc, char** argv) {
   bool ok = true;
   for (size_t q = 0; q < paged_run.checksums.size(); ++q) {
     if (paged_run.checksums[q] != ref_run.checksums[q]) {
-      std::fprintf(stderr, "FAIL: result mismatch for %s\n", kMixSql[q]);
+      std::fprintf(stderr, "FAIL: result mismatch for %s\n",
+                   q < std::size(kMixSql) ? kMixSql[q] : kOverBudgetSql);
       ok = false;
     }
   }
   if (tracking && spill_bytes <= 0) {
     std::fprintf(stderr,
-                 "FAIL: no spills recorded; the mix never left memory\n");
+                 "FAIL: no spills recorded; the over-budget statement never "
+                 "left memory\n");
     ok = false;
   }
   // Bounded peak RSS: the paged working set must stay below the logical data
@@ -271,6 +289,7 @@ int main(int argc, char** argv) {
                "  \"scale_ratio\": %.2f,\n"
                "  \"mix_paged_sec\": %.6f,\n"
                "  \"mix_inmem_sec\": %.6f,\n"
+               "  \"overbudget_paged_sec\": %.6f,\n"
                "  \"peak_rss_delta_mb\": %.2f,\n"
                "  \"spill_bytes\": %lld,\n"
                "  \"spill_partitions\": %lld\n}\n",
@@ -278,7 +297,7 @@ int main(int argc, char** argv) {
                static_cast<long long>(cfg.fact_rows), ToMb(data_bytes),
                ToMb(static_cast<int64_t>(cfg.pool_bytes)), ratio,
                paged_run.seconds, ref_run.seconds,
-               ToMb(paged_run.max_rss_delta),
+               paged_run.overbudget_seconds, ToMb(paged_run.max_rss_delta),
                static_cast<long long>(spill_bytes),
                static_cast<long long>(spill_partitions));
   std::fclose(out);

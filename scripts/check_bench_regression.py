@@ -67,6 +67,7 @@ REQUIRED_KEYS = {
     "BENCH_oocore.json": [
         "mix_paged_sec",
         "mix_inmem_sec",
+        "overbudget_paged_sec",
     ],
     "BENCH_shard.json": [
         "mix_1shard_sec",

@@ -73,7 +73,7 @@ pass_tsan_pinned() {
   # pinned and evicted from concurrent query threads) cannot silently drop
   # out of coverage if the suite layout changes.
   ctest --test-dir build-ci-tsan --output-on-failure \
-    -R "trace|metrics|counters|cache|server|vector|profile|mem_tracker|storage|spill|buffer_pool|cluster"
+    -R "trace|metrics|counters|cache|server|vector|profile|mem_tracker|storage|spill|buffer_pool|cluster|accel"
 }
 
 pass_asan_build() {

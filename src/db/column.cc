@@ -1,6 +1,7 @@
 #include "db/column.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace dl2sql::db {
 
@@ -185,6 +186,48 @@ Column Column::Take(const std::vector<int64_t>& indices) const {
     if (nulls) out.data_->validity.push_back(data_->validity[si]);
   }
   return out;
+}
+
+void Column::AppendRange(const Column& src, int64_t begin, int64_t end) {
+  Detach();
+  const bool src_nulls = !src.data_->validity.empty();
+  if (src_nulls) EnsureValiditySized();
+  const bool nulls = !data_->validity.empty();
+  const auto range = [&](const auto& v) {
+    return std::make_pair(v.begin() + begin, v.begin() + end);
+  };
+  switch (type_) {
+    case DataType::kBool: {
+      const auto [b, e] = range(src.data_->bools);
+      data_->bools.insert(data_->bools.end(), b, e);
+      break;
+    }
+    case DataType::kInt64: {
+      const auto [b, e] = range(src.data_->ints);
+      data_->ints.insert(data_->ints.end(), b, e);
+      break;
+    }
+    case DataType::kFloat64: {
+      const auto [b, e] = range(src.data_->floats);
+      data_->floats.insert(data_->floats.end(), b, e);
+      break;
+    }
+    case DataType::kString:
+    case DataType::kBlob: {
+      const auto [b, e] = range(src.data_->strings);
+      data_->strings.insert(data_->strings.end(), b, e);
+      break;
+    }
+    case DataType::kNull:
+      break;
+  }
+  if (src_nulls) {
+    const auto [b, e] = range(src.data_->validity);
+    data_->validity.insert(data_->validity.end(), b, e);
+  } else if (nulls) {
+    data_->validity.insert(data_->validity.end(),
+                           static_cast<size_t>(end - begin), 1);
+  }
 }
 
 uint64_t Column::ByteSize() const {

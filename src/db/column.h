@@ -114,6 +114,10 @@ class Column {
   /// Gathers rows by index into a new column (indices must be in range).
   Column Take(const std::vector<int64_t>& indices) const;
 
+  /// Appends rows [begin, end) of `src` (same type) with typed vector
+  /// inserts, no per-value boxing. Detaches if shared.
+  void AppendRange(const Column& src, int64_t begin, int64_t end);
+
   /// Approximate heap bytes used by the column payload.
   uint64_t ByteSize() const;
 

@@ -4,7 +4,11 @@
 #include <atomic>
 #include <cctype>
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <map>
+#include <numeric>
+#include <queue>
 #include <unordered_map>
 
 #include <cstdlib>
@@ -14,7 +18,8 @@
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "db/exec/row_key.h"
-#include "db/exec/vector_aggregate.h"
+#include "db/exec/hash_aggregate.h"
+#include "db/exec/hash_join.h"
 #include "db/exec/vector_batch.h"
 #include "db/exec/vector_kernels.h"
 #include "db/sql/printer.h"
@@ -105,23 +110,20 @@ IntrospectionOptions DefaultIntrospectionOptions() {
 /// Hard guard against runaway cross products.
 constexpr int64_t kMaxJoinPairs = 100'000'000;
 
-/// Composite key for the two-int64 fast paths (batched pipelines group and
-/// join on (BatchID, TupleID)-style pairs).
-struct Int2Key {
-  int64_t a;
-  int64_t b;
-  bool operator==(const Int2Key& o) const { return a == o.a && b == o.b; }
-};
+/// Upper bound on the partitions one external aggregation spills into.
+constexpr int64_t kMaxSpillPartitions = 1024;
 
-struct Int2KeyHash {
-  size_t operator()(const Int2Key& k) const {
-    // splitmix-style combine.
-    uint64_t x = static_cast<uint64_t>(k.a) * 0x9e3779b97f4a7c15ull;
-    x ^= static_cast<uint64_t>(k.b) + 0x9e3779b97f4a7c15ull + (x << 6) +
-         (x >> 2);
-    return static_cast<size_t>(x);
+/// Bytes `tracker` may still charge before a hard limit up its chain refuses;
+/// INT64_MAX when nothing up the chain is limited (or no tracker is active).
+int64_t Headroom(const MemTracker* tracker) {
+  int64_t room = std::numeric_limits<int64_t>::max();
+  for (const MemTracker* t = tracker; t != nullptr; t = t->parent()) {
+    if (t->limit_bytes() > 0) {
+      room = std::min(room, t->limit_bytes() - t->consumption());
+    }
   }
-};
+  return room;
+}
 
 /// Charges `seconds` minus the inference time already charged separately.
 void ChargeOperator(CostAccumulator* costs, const std::string& bucket,
@@ -1035,6 +1037,31 @@ class PagedResultWriter {
   storage::PagedTableBuilder builder_;
 };
 
+/// Gathers the joined rows for matching row-index vectors (left columns then
+/// right, under the join's output schema) and applies the residual join
+/// condition. The condition is row-local, so filtering any slice of the
+/// pairs equals filtering the whole pair list.
+Result<Table> GatherJoinRows(const PlanNode& node, const Table& left,
+                             const Table& right,
+                             const std::vector<int64_t>& lrows,
+                             const std::vector<int64_t>& rrows,
+                             EvalContext* ctx) {
+  Table ltaken = left.TakeRows(lrows);
+  Table rtaken = right.TakeRows(rrows);
+  std::vector<Column> cols;
+  for (const Table* t : {&ltaken, &rtaken}) {
+    for (int i = 0; i < t->num_columns(); ++i) cols.push_back(t->column(i));
+  }
+  DL2SQL_ASSIGN_OR_RETURN(
+      Table joined, Table::FromColumns(node.output_schema, std::move(cols)));
+  if (node.join_condition != nullptr) {
+    DL2SQL_ASSIGN_OR_RETURN(std::vector<int64_t> keep,
+                            FilterRows(*node.join_condition, joined, ctx));
+    joined = joined.TakeRows(keep);
+  }
+  return joined;
+}
+
 }  // namespace
 
 Result<Table> Database::ExecFilter(const PlanNode& node, Table input) {
@@ -1136,35 +1163,29 @@ Result<Table> Database::ExecProjectPaged(const PlanNode& node,
 }
 
 Result<Table> Database::ExecJoin(const PlanNode& node, Table left, Table right) {
-  if (left.is_paged() || right.is_paged()) {
-    // Try to admit each paged side into the query's memory budget; whatever
-    // doesn't fit forces the grace (partitioned, spilling) join, which only
-    // exists for equi joins. Cross and symmetric-hash joins have no spill
-    // path — surface the budget refusal instead of silently thrashing.
-    DL2SQL_ASSIGN_OR_RETURN(bool left_fits,
-                            TryEnsureResident(PlanKind::kJoin, &left));
-    DL2SQL_ASSIGN_OR_RETURN(bool right_fits,
-                            TryEnsureResident(PlanKind::kJoin, &right));
-    if (!left_fits || !right_fits) {
-      if (!node.equi_keys.empty() && !node.use_symmetric_hash) {
-        return ExecJoinGrace(node, std::move(left), std::move(right));
-      }
-      return Status::ResourceExhausted(
-          "join input (", left.ByteSize() + right.ByteSize(),
-          " bytes) exceeds the query memory budget and this join shape "
-          "(cross or symmetric-hash) has no spill path");
-    }
+  if (!node.equi_keys.empty() &&
+      !(node.use_symmetric_hash && node.equi_keys.size() == 1)) {
+    return ExecHashJoin(node, std::move(left), std::move(right));
+  }
+  // Cross and symmetric-hash joins take both inputs whole and have no spill
+  // path: surface the budget refusal instead of silently thrashing.
+  DL2SQL_ASSIGN_OR_RETURN(bool left_fits,
+                          TryEnsureResident(PlanKind::kJoin, &left));
+  DL2SQL_ASSIGN_OR_RETURN(bool right_fits,
+                          TryEnsureResident(PlanKind::kJoin, &right));
+  if (!left_fits || !right_fits) {
+    return Status::ResourceExhausted(
+        "join input (", left.ByteSize() + right.ByteSize(),
+        " bytes) exceeds the query memory budget and this join shape "
+        "(cross or symmetric-hash) has no spill path");
   }
   Stopwatch watch;
   EvalContext ctx = MakeEvalContext();
-  // Transient join state — build-side hash table and the pair buffer — is
-  // charged against op.join while live and released on return. Estimates
-  // (bucket node + row-id vector entries), not malloc-exact: the accounting
-  // answers "which operator holds the memory", not "what does malloc say".
+  // The pair buffer is charged against op.join while live. Estimates, not
+  // malloc-exact: the accounting answers "which operator holds the memory".
   ScopedMemCharge scratch_mem(OpScratchTracker(PlanKind::kJoin));
   std::vector<std::pair<int64_t, int64_t>> pairs;
-
-  if (node.use_symmetric_hash && node.equi_keys.size() == 1) {
+  if (!node.equi_keys.empty()) {
     SymmetricHashJoinStats shj_stats;
     DL2SQL_ASSIGN_OR_RETURN(
         pairs, SymmetricHashJoinPairs(left, right, *node.equi_keys[0].first,
@@ -1178,273 +1199,6 @@ Result<Table> Database::ExecJoin(const PlanNode& node, Table left, Table right) 
     static Counter* const symmetric_counter =
         MetricsRegistry::Global().counter("db.symmetric_joins");
     symmetric_counter->Increment();
-  } else if (!node.equi_keys.empty()) {
-    // Hash join: build on the right, probe with the left.
-    std::vector<ColumnHandle> lkeys, rkeys;
-    for (const auto& [lk, rk] : node.equi_keys) {
-      DL2SQL_ASSIGN_OR_RETURN(ColumnHandle lc, EvalExpr(*lk, left, &ctx));
-      DL2SQL_ASSIGN_OR_RETURN(ColumnHandle rc, EvalExpr(*rk, right, &ctx));
-      lkeys.push_back(std::move(lc));
-      rkeys.push_back(std::move(rc));
-    }
-    std::vector<const Column*> lcols, rcols;
-    for (const auto& c : lkeys) lcols.push_back(c.get());
-    for (const auto& c : rkeys) rcols.push_back(c.get());
-
-    // Build the hash table on the side the optimizer estimated smaller.
-    const bool build_left = node.join_build_left;
-    const Table& build_table = build_left ? left : right;
-    const Table& probe_table = build_left ? right : left;
-    const auto& build_keys = build_left ? lcols : rcols;
-    const auto& probe_keys = build_left ? rcols : lcols;
-
-    // Morsel-parallel probe driver. The build side is immutable once
-    // constructed, so any number of workers may probe it concurrently; each
-    // probe morsel collects its (left, right) pairs into its own buffer and
-    // the buffers are concatenated in morsel order, which reproduces the
-    // serial pair order exactly for every thread count. `per_row(p, out)`
-    // appends the matches of probe row p.
-    std::atomic<int64_t> total_pairs{0};
-    auto run_probe = [&](int64_t probe_count, auto&& per_row) -> Status {
-      const int64_t m = ctx.morsel_size;
-      if (ctx.pool == nullptr || ctx.pool->num_threads() <= 1 ||
-          probe_count <= m) {
-        for (int64_t p = 0; p < probe_count; ++p) {
-          DL2SQL_RETURN_NOT_OK(per_row(p, &pairs));
-          if (static_cast<int64_t>(pairs.size()) > kMaxJoinPairs) {
-            return Status::ResourceExhausted("join produced more than ",
-                                             kMaxJoinPairs, " pairs");
-          }
-        }
-        return Status::OK();
-      }
-      const int64_t num_morsels = (probe_count + m - 1) / m;
-      std::vector<std::vector<std::pair<int64_t, int64_t>>> parts(
-          static_cast<size_t>(num_morsels));
-      DL2SQL_RETURN_NOT_OK(ctx.pool->ParallelForMorsel(
-          probe_count, m, [&](int64_t bgn, int64_t end, int) -> Status {
-            auto& part = parts[static_cast<size_t>(bgn / m)];
-            for (int64_t p = bgn; p < end; ++p) {
-              DL2SQL_RETURN_NOT_OK(per_row(p, &part));
-            }
-            const int64_t sz = static_cast<int64_t>(part.size());
-            if (total_pairs.fetch_add(sz) + sz > kMaxJoinPairs) {
-              return Status::ResourceExhausted("join produced more than ",
-                                               kMaxJoinPairs, " pairs");
-            }
-            return Status::OK();
-          }));
-      size_t total = pairs.size();
-      for (const auto& part : parts) total += part.size();
-      pairs.reserve(total);
-      for (auto& part : parts) {
-        pairs.insert(pairs.end(), part.begin(), part.end());
-      }
-      return Status::OK();
-    };
-    auto emit_into = [build_left](std::vector<std::pair<int64_t, int64_t>>* out,
-                                  int64_t b, int64_t p) {
-      if (build_left) {
-        out->emplace_back(b, p);
-      } else {
-        out->emplace_back(p, b);
-      }
-    };
-
-    auto all_int_no_nulls = [](const std::vector<ColumnHandle>& keys) {
-      for (const auto& k : keys) {
-        if (k->type() != DataType::kInt64 || k->HasNulls()) return false;
-      }
-      return true;
-    };
-    const bool ints_only =
-        all_int_no_nulls(build_left ? lkeys : rkeys) &&
-        all_int_no_nulls(build_left ? rkeys : lkeys);
-    const bool int_fast_path = build_keys.size() == 1 && ints_only;
-    const bool int2_fast_path = build_keys.size() == 2 && ints_only;
-    if (int_fast_path) {
-      // Reuse a prebuilt base-table hash index when the build side is an
-      // unfiltered scan keyed on a plain column (the shape of the generated
-      // neural-operator joins: static kernel/mapping tables on the build
-      // side). Falls back to an on-the-fly hash table otherwise.
-      std::shared_ptr<HashIndex> index;
-      const PlanNode& build_plan = *node.children[build_left ? 0 : 1];
-      const Expr& build_key_expr =
-          build_left ? *node.equi_keys[0].first : *node.equi_keys[0].second;
-      if (build_plan.kind == PlanKind::kScan &&
-          build_plan.scan_predicates.empty() &&
-          build_key_expr.kind == ExprKind::kColumnRef &&
-          build_key_expr.bound_index >= 0) {
-        const std::string& qualified =
-            build_plan.output_schema.field(build_key_expr.bound_index).name;
-        const size_t dot = qualified.rfind('.');
-        const std::string base =
-            dot == std::string::npos ? qualified : qualified.substr(dot + 1);
-        index = catalog_.GetIndex(build_plan.table_name, base);
-        if (index != nullptr &&
-            index->indexed_rows() != build_table.num_rows()) {
-          index = nullptr;  // stale snapshot guard
-        }
-      }
-
-      const auto& pvals = probe_keys[0]->ints();
-      if (index != nullptr) {
-        ++index_joins_;
-        static Counter* const index_counter =
-            MetricsRegistry::Global().counter("db.index_joins");
-        index_counter->Increment();
-        DL2SQL_RETURN_NOT_OK(run_probe(
-            static_cast<int64_t>(pvals.size()),
-            [&](int64_t p,
-                std::vector<std::pair<int64_t, int64_t>>* out) -> Status {
-              const std::vector<int64_t>* rows =
-                  index->Lookup(pvals[static_cast<size_t>(p)]);
-              if (rows == nullptr) return Status::OK();
-              for (int64_t b : *rows) emit_into(out, b, p);
-              return Status::OK();
-            }));
-      } else {
-        // Single-int64 equi key: skip the generic key encoding entirely.
-        const auto& bvals = build_keys[0]->ints();
-        std::unordered_map<int64_t, std::vector<int64_t>> build;
-        build.reserve(bvals.size());
-        for (size_t r = 0; r < bvals.size(); ++r) {
-          build[bvals[r]].push_back(static_cast<int64_t>(r));
-        }
-        DL2SQL_RETURN_NOT_OK(scratch_mem.Charge(static_cast<int64_t>(
-            build.size() * (sizeof(int64_t) + sizeof(std::vector<int64_t>) +
-                            16) +
-            bvals.size() * sizeof(int64_t))));
-        DL2SQL_RETURN_NOT_OK(run_probe(
-            static_cast<int64_t>(pvals.size()),
-            [&](int64_t p,
-                std::vector<std::pair<int64_t, int64_t>>* out) -> Status {
-              auto it = build.find(pvals[static_cast<size_t>(p)]);
-              if (it == build.end()) return Status::OK();
-              for (int64_t b : it->second) emit_into(out, b, p);
-              return Status::OK();
-            }));
-      }
-    } else if (int2_fast_path) {
-      // Two-int64 equi keys (e.g. batched (BatchID, TupleID) joins).
-      const auto& b0 = build_keys[0]->ints();
-      const auto& b1 = build_keys[1]->ints();
-      const auto& p0 = probe_keys[0]->ints();
-      const auto& p1 = probe_keys[1]->ints();
-      std::unordered_map<Int2Key, std::vector<int64_t>, Int2KeyHash> build;
-      build.reserve(b0.size());
-      for (size_t r = 0; r < b0.size(); ++r) {
-        build[{b0[r], b1[r]}].push_back(static_cast<int64_t>(r));
-      }
-      DL2SQL_RETURN_NOT_OK(scratch_mem.Charge(static_cast<int64_t>(
-          build.size() *
-              (sizeof(Int2Key) + sizeof(std::vector<int64_t>) + 16) +
-          b0.size() * sizeof(int64_t))));
-      DL2SQL_RETURN_NOT_OK(run_probe(
-          static_cast<int64_t>(p0.size()),
-          [&](int64_t p,
-              std::vector<std::pair<int64_t, int64_t>>* out) -> Status {
-            const size_t sp = static_cast<size_t>(p);
-            auto it = build.find({p0[sp], p1[sp]});
-            if (it == build.end()) return Status::OK();
-            for (int64_t b : it->second) emit_into(out, b, p);
-            return Status::OK();
-          }));
-    } else if (ctx.vectorized) {
-      // Vectorized generic path: null flags and canonical key hashes are
-      // computed a batch at a time into preallocated arrays (disjoint morsel
-      // writes, so the loop parallelizes without synchronization), replacing
-      // the per-row EncodeRowKey string allocations. Buckets hold build rows
-      // in row order and probes verify candidates with exact canonical-key
-      // equality, so the emitted pair order is identical to the string-keyed
-      // row path for every thread count.
-      const int64_t bn = build_table.num_rows();
-      const int64_t pn = probe_table.num_rows();
-      std::vector<uint64_t> bhash(static_cast<size_t>(bn));
-      std::vector<uint64_t> phash(static_cast<size_t>(pn));
-      std::vector<uint8_t> bnull(static_cast<size_t>(bn));
-      std::vector<uint8_t> pnull(static_cast<size_t>(pn));
-      auto batch_keys = [&](const std::vector<const Column*>& keys, int64_t kn,
-                            uint64_t* hash, uint8_t* null_flags) -> Status {
-        const int64_t m = ctx.morsel_size;
-        auto body = [&](int64_t bgn, int64_t end, int) -> Status {
-          vec::KeyNullRange(keys, bgn, end, null_flags + bgn);
-          vec::HashKeyRange(keys, bgn, end, hash + bgn);
-          return Status::OK();
-        };
-        // Per-row output slots are disjoint, so any wired pool can run the
-        // loop (it degrades to inline execution for single-threaded pools
-        // and single-morsel inputs); this keeps pool accounting and trace
-        // spans identical to the row path.
-        if (ctx.pool != nullptr) {
-          DL2SQL_RETURN_NOT_OK(ctx.pool->ParallelForMorsel(kn, m, body));
-        } else {
-          for (int64_t b = 0; b < kn; b += m) {
-            DL2SQL_RETURN_NOT_OK(body(b, std::min(kn, b + m), 0));
-          }
-        }
-        ctx.vec_batches += kn == 0 ? 0 : (kn + m - 1) / m;
-        ctx.vec_rows_in += kn;
-        ctx.vec_rows_selected += kn;
-        return Status::OK();
-      };
-      DL2SQL_RETURN_NOT_OK(
-          batch_keys(build_keys, bn, bhash.data(), bnull.data()));
-      DL2SQL_RETURN_NOT_OK(
-          batch_keys(probe_keys, pn, phash.data(), pnull.data()));
-      std::unordered_map<uint64_t, std::vector<int64_t>> build;
-      build.reserve(static_cast<size_t>(bn));
-      for (int64_t r = 0; r < bn; ++r) {
-        if (bnull[static_cast<size_t>(r)] != 0) continue;
-        build[bhash[static_cast<size_t>(r)]].push_back(r);
-      }
-      DL2SQL_RETURN_NOT_OK(scratch_mem.Charge(
-          (bn + pn) * static_cast<int64_t>(sizeof(uint64_t) + 1) +
-          static_cast<int64_t>(
-              build.size() *
-                  (sizeof(uint64_t) + sizeof(std::vector<int64_t>) + 16) +
-              static_cast<size_t>(bn) * sizeof(int64_t))));
-      DL2SQL_RETURN_NOT_OK(run_probe(
-          pn,
-          [&](int64_t p,
-              std::vector<std::pair<int64_t, int64_t>>* out) -> Status {
-            if (pnull[static_cast<size_t>(p)] != 0) return Status::OK();
-            auto it = build.find(phash[static_cast<size_t>(p)]);
-            if (it == build.end()) return Status::OK();
-            for (int64_t b : it->second) {
-              if (vec::CanonicalKeyRowsEqual(probe_keys, p, build_keys, b)) {
-                emit_into(out, b, p);
-              }
-            }
-            return Status::OK();
-          }));
-    } else {
-      std::unordered_map<std::string, std::vector<int64_t>> build;
-      build.reserve(static_cast<size_t>(build_table.num_rows()));
-      for (int64_t r = 0; r < build_table.num_rows(); ++r) {
-        if (RowKeyHasNull(build_keys, r)) continue;
-        build[EncodeRowKey(build_keys, r)].push_back(r);
-      }
-      int64_t key_bytes = 0;
-      for (const auto& [key, rows] : build) {
-        key_bytes += static_cast<int64_t>(key.size() + rows.size() * 8);
-      }
-      DL2SQL_RETURN_NOT_OK(scratch_mem.Charge(
-          key_bytes +
-          static_cast<int64_t>(
-              build.size() *
-              (sizeof(std::string) + sizeof(std::vector<int64_t>) + 16))));
-      DL2SQL_RETURN_NOT_OK(run_probe(
-          probe_table.num_rows(),
-          [&](int64_t p,
-              std::vector<std::pair<int64_t, int64_t>>* out) -> Status {
-            if (RowKeyHasNull(probe_keys, p)) return Status::OK();
-            auto it = build.find(EncodeRowKey(probe_keys, p));
-            if (it == build.end()) return Status::OK();
-            for (int64_t b : it->second) emit_into(out, b, p);
-            return Status::OK();
-          }));
-    }
   } else {
     // Cross product (with optional residual condition applied below).
     const int64_t total = left.num_rows() * right.num_rows();
@@ -1457,8 +1211,6 @@ Result<Table> Database::ExecJoin(const PlanNode& node, Table left, Table right) 
       for (int64_t r = 0; r < right.num_rows(); ++r) pairs.emplace_back(l, r);
     }
   }
-
-  // Materialize the joined table.
   DL2SQL_RETURN_NOT_OK(scratch_mem.Charge(
       static_cast<int64_t>(pairs.size() * sizeof(pairs[0]) * 2)));
   std::vector<int64_t> lrows, rrows;
@@ -1468,22 +1220,136 @@ Result<Table> Database::ExecJoin(const PlanNode& node, Table left, Table right) 
     lrows.push_back(l);
     rrows.push_back(r);
   }
-  Table ltaken = left.TakeRows(lrows);
-  Table rtaken = right.TakeRows(rrows);
-  std::vector<Column> cols;
-  for (int i = 0; i < ltaken.num_columns(); ++i) cols.push_back(ltaken.column(i));
-  for (int i = 0; i < rtaken.num_columns(); ++i) cols.push_back(rtaken.column(i));
-  DL2SQL_ASSIGN_OR_RETURN(Table joined,
-                          Table::FromColumns(node.output_schema, std::move(cols)));
-
-  if (node.join_condition != nullptr) {
-    DL2SQL_ASSIGN_OR_RETURN(std::vector<int64_t> keep,
-                            FilterRows(*node.join_condition, joined, &ctx));
-    joined = joined.TakeRows(keep);
-  }
+  DL2SQL_ASSIGN_OR_RETURN(
+      Table joined, GatherJoinRows(node, left, right, lrows, rrows, &ctx));
   const double inf = DrainEvalContext(ctx);
   ChargeOperator(costs_, "join", watch.ElapsedSeconds(), inf);
   return joined;
+}
+
+Result<Table> Database::ExecHashJoin(const PlanNode& node, Table left,
+                                     Table right) {
+  // Only the build side (the side the optimizer estimated smaller) must be
+  // resident; when it does not fit the query budget, the grace join
+  // partitions both sides through spill files instead.
+  const bool build_left = node.join_build_left;
+  Table& build = build_left ? left : right;
+  const Table& probe = build_left ? right : left;
+  const bool spillable = left.is_paged() || right.is_paged();
+  DL2SQL_ASSIGN_OR_RETURN(bool fits,
+                          TryEnsureResident(PlanKind::kJoin, &build));
+  if (!fits) return ExecJoinGrace(node, std::move(left), std::move(right));
+
+  Stopwatch watch;
+  EvalContext ctx = MakeEvalContext();
+  // The build table is charged against op.join while live; each window's
+  // pair buffer is charged on its own scope.
+  ScopedMemCharge build_mem(OpScratchTracker(PlanKind::kJoin));
+  std::vector<ColumnHandle> build_keys;
+  for (const auto& [lk, rk] : node.equi_keys) {
+    DL2SQL_ASSIGN_OR_RETURN(ColumnHandle c,
+                            EvalExpr(build_left ? *lk : *rk, build, &ctx));
+    build_keys.push_back(std::move(c));
+  }
+
+  // Reuse a prebuilt base-table hash index when the build side is an
+  // unfiltered scan keyed on a plain column (the shape of the generated
+  // neural-operator joins: static kernel/mapping tables on the build side).
+  std::shared_ptr<HashIndex> index;
+  const PlanNode& build_plan = *node.children[build_left ? 0 : 1];
+  const Expr& build_key_expr =
+      build_left ? *node.equi_keys[0].first : *node.equi_keys[0].second;
+  if (node.equi_keys.size() == 1 && build_plan.kind == PlanKind::kScan &&
+      build_plan.scan_predicates.empty() &&
+      build_key_expr.kind == ExprKind::kColumnRef &&
+      build_key_expr.bound_index >= 0) {
+    const std::string& qualified =
+        build_plan.output_schema.field(build_key_expr.bound_index).name;
+    const size_t dot = qualified.rfind('.');
+    const std::string base =
+        dot == std::string::npos ? qualified : qualified.substr(dot + 1);
+    index = catalog_.GetIndex(build_plan.table_name, base);
+    if (index != nullptr && index->indexed_rows() != build.num_rows()) {
+      index = nullptr;  // stale snapshot guard
+    }
+  }
+
+  // Probe windows run in row order against one build table, so pairs come
+  // out probe-ascending — the whole-table pair order. A resident probe side
+  // is one window; a paged one streams chunk by chunk and its output streams
+  // back out to paged storage.
+  const std::unique_ptr<storage::ColumnSource> source =
+      storage::MakeColumnSource(std::make_shared<Table>(probe), 0);
+  std::unique_ptr<PagedResultWriter> writer;
+  if (probe.is_paged()) {
+    writer = std::make_unique<PagedResultWriter>(
+        probe.paged()->shared_engine(), node.output_schema);
+  }
+  std::unique_ptr<HashJoinTable> table;
+  Table out;
+  int64_t total_pairs = 0;
+  for (int64_t w = 0; w < source->num_windows(); ++w) {
+    DL2SQL_ASSIGN_OR_RETURN(Table window, source->ReadWindow(w));
+    std::vector<ColumnHandle> probe_keys;
+    for (const auto& [lk, rk] : node.equi_keys) {
+      DL2SQL_ASSIGN_OR_RETURN(ColumnHandle c,
+                              EvalExpr(build_left ? *rk : *lk, window, &ctx));
+      probe_keys.push_back(std::move(c));
+    }
+    if (table == nullptr) {
+      std::vector<DataType> probe_types;
+      for (const auto& c : probe_keys) probe_types.push_back(c->type());
+      DL2SQL_ASSIGN_OR_RETURN(
+          table, HashJoinTable::Build(build_keys, probe_types, index, &ctx));
+      const Status charged = build_mem.Charge(table->bytes());
+      if (!charged.ok()) {
+        // The build side fit by its input bytes but its hash table does
+        // not. Nothing has been emitted yet, so a join over paged data can
+        // still hand over to the grace join.
+        if (!spillable) return charged;
+        table.reset();
+        build_keys.clear();
+        DrainEvalContext(ctx);
+        return ExecJoinGrace(node, std::move(left), std::move(right));
+      }
+      if (table->uses_index()) {
+        ++index_joins_;
+        static Counter* const index_counter =
+            MetricsRegistry::Global().counter("db.index_joins");
+        index_counter->Increment();
+      }
+    }
+    HashJoinTable::Pairs pairs;
+    DL2SQL_RETURN_NOT_OK(
+        table->Probe(probe_keys, &ctx, kMaxJoinPairs - total_pairs, &pairs));
+    total_pairs += static_cast<int64_t>(pairs.size());
+    ScopedMemCharge pair_mem(OpScratchTracker(PlanKind::kJoin));
+    DL2SQL_RETURN_NOT_OK(pair_mem.Charge(
+        static_cast<int64_t>(pairs.size() * sizeof(pairs[0]) * 2)));
+    std::vector<int64_t> prows, brows;
+    prows.reserve(pairs.size());
+    brows.reserve(pairs.size());
+    for (const auto& [p, b] : pairs) {
+      prows.push_back(p);
+      brows.push_back(b);
+    }
+    DL2SQL_ASSIGN_OR_RETURN(
+        Table piece,
+        build_left
+            ? GatherJoinRows(node, build, window, brows, prows, &ctx)
+            : GatherJoinRows(node, window, build, prows, brows, &ctx));
+    if (writer == nullptr) {
+      out = std::move(piece);
+    } else if (piece.num_rows() > 0) {
+      DL2SQL_RETURN_NOT_OK(writer->Append(piece));
+    }
+  }
+  if (writer != nullptr) {
+    DL2SQL_ASSIGN_OR_RETURN(out, writer->Finish());
+  }
+  const double inf = DrainEvalContext(ctx);
+  ChargeOperator(costs_, "join", watch.ElapsedSeconds(), inf);
+  return out;
 }
 
 Result<Table> Database::ExecJoinGrace(const PlanNode& node, Table left,
@@ -1536,8 +1402,7 @@ Result<Table> Database::ExecJoinGrace(const PlanNode& node, Table left,
             ColumnHandle c, EvalExpr(left_side ? *lk : *rk, window, &ctx));
         keys.push_back(std::move(c));
       }
-      std::vector<const Column*> kptrs;
-      for (const auto& c : keys) kptrs.push_back(c.get());
+      const std::vector<const Column*> kptrs = ColumnPtrs(keys);
       for (int64_t r = 0; r < window.num_rows(); ++r) {
         if (RowKeyHasNull(kptrs, r)) continue;
         std::string key;
@@ -1636,22 +1501,8 @@ Result<Table> Database::ExecJoinGrace(const PlanNode& node, Table left,
       lrows.push_back(build_left ? b : p);
       rrows.push_back(build_left ? p : b);
     }
-    Table ltaken = left.TakeRows(lrows);
-    Table rtaken = right.TakeRows(rrows);
-    std::vector<Column> cols;
-    for (int i = 0; i < ltaken.num_columns(); ++i) {
-      cols.push_back(ltaken.column(i));
-    }
-    for (int i = 0; i < rtaken.num_columns(); ++i) {
-      cols.push_back(rtaken.column(i));
-    }
     DL2SQL_ASSIGN_OR_RETURN(
-        Table joined, Table::FromColumns(node.output_schema, std::move(cols)));
-    if (node.join_condition != nullptr) {
-      DL2SQL_ASSIGN_OR_RETURN(std::vector<int64_t> keep,
-                              FilterRows(*node.join_condition, joined, &ctx));
-      joined = joined.TakeRows(keep);
-    }
+        Table joined, GatherJoinRows(node, left, right, lrows, rrows, &ctx));
     if (joined.num_rows() > 0) {
       DL2SQL_RETURN_NOT_OK(writer.Append(joined));
     }
@@ -1664,419 +1515,182 @@ Result<Table> Database::ExecJoinGrace(const PlanNode& node, Table left,
 
 namespace {
 
-/// Running state for one aggregate over one group.
-struct AggState {
-  int64_t count = 0;
-  double sum = 0;
-  double sumsq = 0;
-  Value min;
-  Value max;
-};
-
-/// Folds a thread-local aggregate state into the global one. Count/sum/sumsq
-/// are additive; min/max combine by comparison (NULL = no value seen yet).
-void MergeAggState(AggState* dst, const AggState& src) {
-  dst->count += src.count;
-  dst->sum += src.sum;
-  dst->sumsq += src.sumsq;
-  if (!src.min.is_null() &&
-      (dst->min.is_null() || src.min.Compare(dst->min) < 0)) {
-    dst->min = src.min;
+/// Group keys and aggregate arguments (null for COUNT(*)) over one window.
+Status EvalAggregateInputs(const PlanNode& node, const Table& window,
+                           EvalContext* ctx, std::vector<ColumnHandle>* keys,
+                           std::vector<ColumnHandle>* args) {
+  keys->clear();
+  for (const auto& k : node.group_keys) {
+    DL2SQL_ASSIGN_OR_RETURN(ColumnHandle c, EvalExpr(*k, window, ctx));
+    keys->push_back(std::move(c));
   }
-  if (!src.max.is_null() &&
-      (dst->max.is_null() || src.max.Compare(dst->max) > 0)) {
-    dst->max = src.max;
-  }
-}
-
-/// Folds one argument value into an aggregate state. Shared by the in-memory
-/// row path and the external (spilling) aggregation so both accumulate in
-/// exactly the same order with exactly the same float operations — the
-/// bit-identity contract between the two paths rests on this.
-Status AccumulateAggValue(AggFunc f, const Value& v, AggState* st) {
-  if (f == AggFunc::kCountStar) {
-    ++st->count;
-    return Status::OK();
-  }
-  if (v.is_null()) return Status::OK();
-  switch (f) {
-    case AggFunc::kCount:
-      // COUNT over a boolean expression counts TRUE rows (the intent of
-      // the paper's count(nUDF(...) = TRUE); ClickHouse would use
-      // countIf). COUNT over other types counts non-NULL rows.
-      if (v.type() == DataType::kBool) {
-        if (v.bool_value()) ++st->count;
-      } else {
-        ++st->count;
-      }
-      break;
-    case AggFunc::kSum:
-    case AggFunc::kAvg:
-    case AggFunc::kStddevSamp: {
-      DL2SQL_ASSIGN_OR_RETURN(double d, v.AsDouble());
-      ++st->count;
-      st->sum += d;
-      st->sumsq += d * d;
-      break;
+  args->assign(node.agg_calls.size(), nullptr);
+  for (size_t a = 0; a < node.agg_calls.size(); ++a) {
+    const Expr& call = *node.agg_calls[a];
+    if (call.agg_func != AggFunc::kCountStar) {
+      DL2SQL_ASSIGN_OR_RETURN((*args)[a],
+                              EvalExpr(*call.children[0], window, ctx));
     }
-    case AggFunc::kMin:
-      if (st->min.is_null() || v.Compare(st->min) < 0) st->min = v;
-      break;
-    case AggFunc::kMax:
-      if (st->max.is_null() || v.Compare(st->max) > 0) st->max = v;
-      break;
-    case AggFunc::kCountStar:
-      break;
   }
   return Status::OK();
-}
-
-/// Output column type of aggregate `f` over an argument of `arg_type`
-/// (kNull when the aggregate takes no argument).
-DataType AggOutputType(AggFunc f, DataType arg_type) {
-  switch (f) {
-    case AggFunc::kCount:
-    case AggFunc::kCountStar:
-      return DataType::kInt64;
-    case AggFunc::kMin:
-    case AggFunc::kMax:
-      return arg_type != DataType::kNull ? arg_type : DataType::kFloat64;
-    default:
-      return DataType::kFloat64;
-  }
-}
-
-/// Final value of aggregate `f` from an accumulated state.
-Value AggOutputValue(AggFunc f, const AggState& st) {
-  switch (f) {
-    case AggFunc::kCount:
-    case AggFunc::kCountStar:
-      return Value::Int(st.count);
-    case AggFunc::kSum:
-      return st.count == 0 ? Value::Null() : Value::Float(st.sum);
-    case AggFunc::kAvg:
-      return st.count == 0
-                 ? Value::Null()
-                 : Value::Float(st.sum / static_cast<double>(st.count));
-    case AggFunc::kStddevSamp: {
-      if (st.count < 2) return Value::Null();
-      const double mean = st.sum / static_cast<double>(st.count);
-      const double var =
-          (st.sumsq - static_cast<double>(st.count) * mean * mean) /
-          static_cast<double>(st.count - 1);
-      return Value::Float(std::sqrt(std::max(0.0, var)));
-    }
-    case AggFunc::kMin:
-      return st.min;
-    case AggFunc::kMax:
-      return st.max;
-  }
-  return Value::Null();
 }
 
 }  // namespace
 
 Result<Table> Database::ExecAggregate(const PlanNode& node, Table input) {
-  if (input.is_paged()) {
-    DL2SQL_ASSIGN_OR_RETURN(bool fits,
-                            TryEnsureResident(PlanKind::kAggregate, &input));
-    if (!fits) return ExecAggregateExternal(node, input);
-  }
   Stopwatch watch;
   EvalContext ctx = MakeEvalContext();
-
-  // Evaluate group keys and aggregate arguments once, vectorized.
-  std::vector<ColumnHandle> key_cols;
-  for (const auto& k : node.group_keys) {
-    DL2SQL_ASSIGN_OR_RETURN(ColumnHandle c, EvalExpr(*k, input, &ctx));
-    key_cols.push_back(std::move(c));
-  }
-  std::vector<ColumnHandle> arg_cols(node.agg_calls.size());
-  for (size_t i = 0; i < node.agg_calls.size(); ++i) {
-    const Expr& call = *node.agg_calls[i];
-    if (call.agg_func != AggFunc::kCountStar) {
-      DL2SQL_ASSIGN_OR_RETURN(arg_cols[i],
-                              EvalExpr(*call.children[0], input, &ctx));
-    }
-  }
-
-  std::vector<const Column*> kptrs;
-  for (const auto& c : key_cols) kptrs.push_back(c.get());
-
-  if (ctx.vectorized) {
-    // Batch-at-a-time path: typed per-group accumulators updated by tight
-    // kernels (db/exec/vector_aggregate.h). Falls through to the row path
-    // when any aggregate or argument shape is outside the kernel inventory.
-    Table vout;
-    DL2SQL_ASSIGN_OR_RETURN(
-        bool done, vec::TryVectorAggregate(node, key_cols, arg_cols,
-                                           input.num_rows(), &ctx, &vout));
-    if (done) {
-      const double inf = DrainEvalContext(ctx);
-      ChargeOperator(costs_, "groupby", watch.ElapsedSeconds(), inf);
-      return vout;
-    }
-  }
-
-  struct Group {
-    int64_t first_row;
-    std::vector<AggState> aggs;
-  };
-
-  const int64_t n = input.num_rows();
-
-  // Per-row accumulation shared by both key representations.
-  auto accumulate_row = [&](Group* g, int64_t row) -> Status {
-    for (size_t a = 0; a < node.agg_calls.size(); ++a) {
-      const AggFunc f = node.agg_calls[a]->agg_func;
-      DL2SQL_RETURN_NOT_OK(AccumulateAggValue(
-          f,
-          f == AggFunc::kCountStar ? Value::Null() : arg_cols[a]->GetValue(row),
-          &g->aggs[a]));
-    }
-    return Status::OK();
-  };
-
-  // Groups in first-seen order, referenced by index from either key map.
-  // Grouping state is charged against op.aggregate once the group count is
-  // known (post-merge for the parallel mode) and released on return.
-  ScopedMemCharge scratch_mem(OpScratchTracker(PlanKind::kAggregate));
-  std::vector<Group> groups;
-
-  // Generic grouping driver over one key representation. Serial mode fills
-  // `groups` in first-seen order directly. Parallel mode gives every pool
-  // worker its own hash-index + group vector (no shared mutable state inside
-  // the morsel loop), then merges the thread-local states once: matching
-  // groups fold their AggStates together and keep the minimum first_row, and
-  // a final sort by first_row restores the serial first-seen order for any
-  // thread count.
-  auto run_grouping = [&](auto make_index, auto key_of) -> Status {
-    const size_t num_aggs = node.agg_calls.size();
-    const bool parallel = ctx.pool != nullptr && ctx.pool->num_threads() > 1 &&
-                          n > ctx.morsel_size;
-    if (!parallel) {
-      auto index = make_index();
-      index.reserve(static_cast<size_t>(n) / 4 + 8);
-      for (int64_t row = 0; row < n; ++row) {
-        auto [it, inserted] = index.try_emplace(key_of(row), groups.size());
-        if (inserted) {
-          groups.push_back(Group{row, std::vector<AggState>(num_aggs)});
-        }
-        DL2SQL_RETURN_NOT_OK(accumulate_row(&groups[it->second], row));
-      }
-      return Status::OK();
-    }
-    const int workers = ctx.pool->num_threads();
-    std::vector<std::vector<Group>> wgroups(static_cast<size_t>(workers));
-    std::vector<decltype(make_index())> windex(static_cast<size_t>(workers));
-    DL2SQL_RETURN_NOT_OK(ctx.pool->ParallelForMorsel(
-        n, ctx.morsel_size, [&](int64_t bgn, int64_t end, int w) -> Status {
-          auto& local_groups = wgroups[static_cast<size_t>(w)];
-          auto& local_index = windex[static_cast<size_t>(w)];
-          for (int64_t row = bgn; row < end; ++row) {
-            auto [it, inserted] =
-                local_index.try_emplace(key_of(row), local_groups.size());
-            if (inserted) {
-              local_groups.push_back(Group{row, std::vector<AggState>(num_aggs)});
-            }
-            DL2SQL_RETURN_NOT_OK(
-                accumulate_row(&local_groups[it->second], row));
-          }
-          return Status::OK();
-        }));
-    auto merged = make_index();
-    for (auto& local_groups : wgroups) {
-      for (Group& g : local_groups) {
-        auto [it, inserted] =
-            merged.try_emplace(key_of(g.first_row), groups.size());
-        if (inserted) {
-          groups.push_back(std::move(g));
-          continue;
-        }
-        Group& dst = groups[it->second];
-        dst.first_row = std::min(dst.first_row, g.first_row);
-        for (size_t a = 0; a < num_aggs; ++a) {
-          MergeAggState(&dst.aggs[a], g.aggs[a]);
+  // One group state folds the input's windows in row order: a resident
+  // input is one window, a paged one streams chunk by chunk and is never
+  // materialized. The growing state is charged against op.aggregate; when a
+  // paged input's state outgrows the query budget, the operator restarts as
+  // external aggregation.
+  bool over_budget = false;
+  int64_t projected_state = 0;
+  Table out;
+  {
+    ScopedMemCharge state_mem(OpScratchTracker(PlanKind::kAggregate));
+    HashAggregator agg(node, ctx.vectorized);
+    const std::unique_ptr<storage::ColumnSource> source =
+        storage::MakeColumnSource(std::make_shared<Table>(input), 0);
+    for (int64_t w = 0; w < source->num_windows() && !over_budget; ++w) {
+      DL2SQL_ASSIGN_OR_RETURN(Table window, source->ReadWindow(w));
+      std::vector<ColumnHandle> key_cols, arg_cols;
+      DL2SQL_RETURN_NOT_OK(
+          EvalAggregateInputs(node, window, &ctx, &key_cols, &arg_cols));
+      DL2SQL_RETURN_NOT_OK(agg.Consume(key_cols, arg_cols, window.num_rows(),
+                                       {source->window_start(w)}, &ctx));
+      const int64_t grown = agg.StateBytes() - state_mem.charged();
+      if (grown > 0) {
+        const Status charged = state_mem.Charge(grown);
+        if (!charged.ok()) {
+          if (!input.is_paged()) return charged;
+          over_budget = true;
+          // Linear projection of the state over the whole input sizes the
+          // external aggregation's partitions.
+          const int64_t seen = source->window_start(w) + window.num_rows();
+          projected_state = static_cast<int64_t>(
+              static_cast<double>(agg.StateBytes()) *
+              static_cast<double>(input.num_rows()) /
+              static_cast<double>(std::max<int64_t>(1, seen)));
         }
       }
     }
-    std::sort(groups.begin(), groups.end(),
-              [](const Group& a, const Group& b) {
-                return a.first_row < b.first_row;
-              });
-    return Status::OK();
-  };
-
-  auto int_keys_no_nulls = [&](size_t count) {
-    if (kptrs.size() != count) return false;
-    for (const Column* k : kptrs) {
-      if (k->type() != DataType::kInt64 || k->HasNulls()) return false;
+    if (!over_budget) {
+      DL2SQL_ASSIGN_OR_RETURN(out, agg.Finish());
     }
-    return true;
-  };
-  if (int_keys_no_nulls(1)) {
-    const auto& keys = kptrs[0]->ints();
-    DL2SQL_RETURN_NOT_OK(run_grouping(
-        [] { return std::unordered_map<int64_t, size_t>(); },
-        [&](int64_t row) { return keys[static_cast<size_t>(row)]; }));
-  } else if (int_keys_no_nulls(2)) {
-    // Batched pipelines group on (BatchID, key) pairs.
-    const auto& k0 = kptrs[0]->ints();
-    const auto& k1 = kptrs[1]->ints();
-    DL2SQL_RETURN_NOT_OK(run_grouping(
-        [] { return std::unordered_map<Int2Key, size_t, Int2KeyHash>(); },
-        [&](int64_t row) {
-          const size_t r = static_cast<size_t>(row);
-          return Int2Key{k0[r], k1[r]};
-        }));
-  } else {
-    DL2SQL_RETURN_NOT_OK(run_grouping(
-        [] { return std::unordered_map<std::string, size_t>(); },
-        [&](int64_t row) {
-          return kptrs.empty() ? std::string() : EncodeRowKey(kptrs, row);
-        }));
   }
-
-  // Global aggregate over empty input still yields one row.
-  if (kptrs.empty() && groups.empty()) {
-    groups.push_back(Group{-1, std::vector<AggState>(node.agg_calls.size())});
-  }
-  DL2SQL_RETURN_NOT_OK(scratch_mem.Charge(static_cast<int64_t>(
-      groups.size() *
-      (sizeof(Group) + 16 +
-       node.agg_calls.size() * sizeof(AggState)))));
-
-  // Emit: key columns then aggregate columns.
-  std::vector<Column> out_cols;
-  TableSchema out_schema;
-  for (size_t k = 0; k < key_cols.size(); ++k) {
-    Column c(key_cols[k]->type());
-    c.Reserve(static_cast<int64_t>(groups.size()));
-    for (const Group& g : groups) {
-      DL2SQL_RETURN_NOT_OK(c.Append(key_cols[k]->GetValue(g.first_row)));
-    }
-    out_schema.AddField({node.group_names[k], c.type()});
-    out_cols.push_back(std::move(c));
-  }
-  for (size_t a = 0; a < node.agg_calls.size(); ++a) {
-    const AggFunc f = node.agg_calls[a]->agg_func;
-    Column c(AggOutputType(
-        f, arg_cols[a] != nullptr ? arg_cols[a]->type() : DataType::kNull));
-    c.Reserve(static_cast<int64_t>(groups.size()));
-    for (const Group& g : groups) {
-      DL2SQL_RETURN_NOT_OK(c.Append(AggOutputValue(f, g.aggs[a])));
-    }
-    out_schema.AddField({node.agg_names[a], c.type()});
-    out_cols.push_back(std::move(c));
-  }
-
   const double inf = DrainEvalContext(ctx);
-  DL2SQL_ASSIGN_OR_RETURN(
-      Table out, Table::FromColumns(std::move(out_schema), std::move(out_cols)));
   ChargeOperator(costs_, "groupby", watch.ElapsedSeconds(), inf);
+  if (over_budget) {
+    return ExecAggregateExternal(node, input, projected_state);
+  }
   return out;
 }
 
 Result<Table> Database::ExecAggregateExternal(const PlanNode& node,
-                                              const Table& input) {
+                                              const Table& input,
+                                              int64_t state_bytes_hint) {
   Stopwatch watch;
   EvalContext ctx = MakeEvalContext();
-  // Final group states live until emit and bill against op.aggregate; each
-  // partition's hash index is charged on its own per-iteration scope.
-  ScopedMemCharge scratch_mem(OpScratchTracker(PlanKind::kAggregate));
   const std::shared_ptr<storage::StorageEngine>& engine =
       input.paged()->shared_engine();
-
   const size_t num_keys = node.group_keys.size();
   const size_t num_aggs = node.agg_calls.size();
-  // Aggregate arguments pack densely into the spill rows; COUNT(*) has none.
-  std::vector<int> arg_slot(num_aggs, -1);
-  int num_args = 0;
-  for (size_t a = 0; a < num_aggs; ++a) {
-    if (node.agg_calls[a]->agg_func != AggFunc::kCountStar) {
-      arg_slot[a] = num_args++;
+  // At least spill_partitions, and enough that one partition's share of the
+  // projected group state fits in half of the remaining query budget.
+  int64_t num_parts = 1;
+  if (num_keys > 0) {
+    num_parts = std::max<int64_t>(1, engine->options().spill_partitions);
+    const int64_t room = Headroom(OpScratchTracker(PlanKind::kAggregate));
+    if (room > 0) {
+      num_parts = std::max(
+          num_parts, std::min<int64_t>(kMaxSpillPartitions,
+                                       2 * state_bytes_hint / room + 1));
     }
   }
-  const int64_t num_parts =
-      num_keys == 0
-          ? 1
-          : std::max<int64_t>(1, engine->options().spill_partitions);
 
-  // Phase 1: partition by key hash. Each spill row is
-  // (global row id, key values..., argument values...); same-key rows land
-  // in one partition in global row order, so per-group accumulation in
-  // phase 2 replays exactly the serial order — float-identical results.
+  // Phase 1: partition by canonical key hash. Each spill row is
+  // (global row id, key values..., argument values...), COUNT(*) taking no
+  // argument column. Same-key rows land in one partition in global row
+  // order, so phase 2 folds every group in exactly the serial order.
+  std::vector<int> arg_col(num_aggs, -1);  // spill column of each argument
   std::vector<std::unique_ptr<storage::PagedTableBuilder>> builders;
-  std::vector<DataType> key_types, arg_types;
   const std::unique_ptr<storage::ColumnSource> source =
       storage::MakeColumnSource(std::make_shared<Table>(input), 0);
+  std::vector<uint64_t> hashes;
   for (int64_t w = 0; w < source->num_windows(); ++w) {
     DL2SQL_ASSIGN_OR_RETURN(Table window, source->ReadWindow(w));
-    const int64_t base = source->window_start(w);
-    std::vector<ColumnHandle> key_cols;
-    for (const auto& k : node.group_keys) {
-      DL2SQL_ASSIGN_OR_RETURN(ColumnHandle c, EvalExpr(*k, window, &ctx));
-      key_cols.push_back(std::move(c));
+    const int64_t n = window.num_rows();
+    std::vector<int64_t> ids(static_cast<size_t>(n));
+    std::iota(ids.begin(), ids.end(), source->window_start(w));
+    std::vector<ColumnHandle> key_cols, arg_cols;
+    DL2SQL_RETURN_NOT_OK(
+        EvalAggregateInputs(node, window, &ctx, &key_cols, &arg_cols));
+    TableSchema schema;
+    std::vector<Column> cols;
+    schema.AddField({"__row", DataType::kInt64});
+    cols.push_back(Column::Ints(std::move(ids)));
+    for (size_t k = 0; k < num_keys; ++k) {
+      schema.AddField({"__key" + std::to_string(k), key_cols[k]->type()});
+      cols.push_back(*key_cols[k]);
     }
-    std::vector<ColumnHandle> arg_cols(num_aggs);
     for (size_t a = 0; a < num_aggs; ++a) {
-      if (arg_slot[a] < 0) continue;
-      DL2SQL_ASSIGN_OR_RETURN(
-          arg_cols[a], EvalExpr(*node.agg_calls[a]->children[0], window, &ctx));
+      if (arg_cols[a] == nullptr) continue;
+      arg_col[a] = static_cast<int>(cols.size());
+      schema.AddField({"__arg" + std::to_string(a), arg_cols[a]->type()});
+      cols.push_back(*arg_cols[a]);
     }
+    DL2SQL_ASSIGN_OR_RETURN(Table spill,
+                            Table::FromColumns(schema, std::move(cols)));
     if (builders.empty()) {
-      // Spill layout discovered from the first window's expression types.
-      TableSchema spill_schema;
-      spill_schema.AddField({"__row", DataType::kInt64});
-      for (size_t k = 0; k < num_keys; ++k) {
-        key_types.push_back(key_cols[k]->type());
-        spill_schema.AddField(
-            {"__key" + std::to_string(k), key_cols[k]->type()});
-      }
-      for (size_t a = 0; a < num_aggs; ++a) {
-        if (arg_slot[a] < 0) continue;
-        arg_types.push_back(arg_cols[a]->type());
-        spill_schema.AddField(
-            {"__arg" + std::to_string(arg_slot[a]), arg_cols[a]->type()});
-      }
-      builders.reserve(static_cast<size_t>(num_parts));
       for (int64_t p = 0; p < num_parts; ++p) {
-        builders.push_back(std::make_unique<storage::PagedTableBuilder>(
-            engine, spill_schema));
+        builders.push_back(
+            std::make_unique<storage::PagedTableBuilder>(engine, schema));
       }
+    }
+    if (num_parts == 1) {
+      DL2SQL_RETURN_NOT_OK(builders[0]->Append(spill));
+      continue;
     }
     std::vector<const Column*> kptrs;
-    for (const auto& c : key_cols) kptrs.push_back(c.get());
-    for (int64_t r = 0; r < window.num_rows(); ++r) {
-      int64_t p = 0;
-      if (num_keys > 0) {
-        const std::string key = EncodeRowKey(kptrs, r);
-        p = static_cast<int64_t>(Hash64(key.data(), key.size()) %
-                                 static_cast<uint64_t>(num_parts));
-      }
-      std::vector<Value> row;
-      row.reserve(1 + num_keys + static_cast<size_t>(num_args));
-      row.push_back(Value::Int(base + r));
-      for (const Column* c : kptrs) row.push_back(c->GetValue(r));
-      for (size_t a = 0; a < num_aggs; ++a) {
-        if (arg_slot[a] >= 0) row.push_back(arg_cols[a]->GetValue(r));
-      }
-      DL2SQL_RETURN_NOT_OK(builders[static_cast<size_t>(p)]->AppendRow(row));
+    for (size_t k = 0; k < num_keys; ++k) {
+      kptrs.push_back(&spill.column(static_cast<int>(1 + k)));
+    }
+    hashes.resize(static_cast<size_t>(n));
+    vec::HashKeyRange(kptrs, 0, n, hashes.data());
+    std::vector<std::vector<int64_t>> part_rows(static_cast<size_t>(num_parts));
+    for (int64_t r = 0; r < n; ++r) {
+      const uint64_t p =
+          hashes[static_cast<size_t>(r)] % static_cast<uint64_t>(num_parts);
+      part_rows[p].push_back(r);
+    }
+    for (int64_t p = 0; p < num_parts; ++p) {
+      const auto& rows = part_rows[static_cast<size_t>(p)];
+      if (rows.empty()) continue;
+      DL2SQL_RETURN_NOT_OK(
+          builders[static_cast<size_t>(p)]->Append(spill.TakeRows(rows)));
     }
   }
-  if (builders.empty()) {
-    return Status::InternalError("external aggregation over empty paged input");
-  }
 
-  // Phase 2: per partition, group and accumulate in spill order. Group keys
-  // are re-encoded from the stored values — AppendKeyPart's canonical form
-  // is stable across the round trip, so grouping matches the in-memory path.
-  struct SpillGroup {
-    int64_t first_row;
-    std::vector<Value> keys;
-    std::vector<AggState> aggs;
+  // Phase 2: aggregate one partition at a time (only its group state is
+  // resident, charged on a per-partition scope) and write its groups, in
+  // first_row order, to a run tagged with each group's first row id.
+  auto columns_of = [&](const std::vector<Column>& cols) {
+    std::vector<ColumnHandle> keys, args(num_aggs);
+    for (size_t k = 0; k < num_keys; ++k) {
+      keys.push_back(std::make_shared<Column>(cols[1 + k]));
+    }
+    for (size_t a = 0; a < num_aggs; ++a) {
+      if (arg_col[a] >= 0) {
+        args[a] =
+            std::make_shared<Column>(cols[static_cast<size_t>(arg_col[a])]);
+      }
+    }
+    return std::make_pair(std::move(keys), std::move(args));
   };
-  std::vector<SpillGroup> groups;
+  std::vector<std::shared_ptr<storage::PagedTableData>> runs;
+  TableSchema out_schema;  // the groups' schema, from the first run
   int64_t spilled_bytes = 0;
   int64_t spilled_parts = 0;
   for (auto& b : builders) {
@@ -2086,90 +1700,112 @@ Result<Table> Database::ExecAggregateExternal(const PlanNode& node,
     spilled_bytes += part->logical_bytes();
     ++spilled_parts;
     ScopedMemCharge part_mem(OpScratchTracker(PlanKind::kAggregate));
-    std::unordered_map<std::string, size_t> index;
-    const size_t part_first_group = groups.size();
-    int64_t part_key_bytes = 0;
+    HashAggregator agg(node, ctx.vectorized);
     for (int64_t c = 0; c < part->num_chunks(); ++c) {
       DL2SQL_ASSIGN_OR_RETURN(std::vector<Column> cols, part->ReadChunk(c));
-      std::vector<const Column*> kptrs;
-      for (size_t k = 0; k < num_keys; ++k) kptrs.push_back(&cols[1 + k]);
-      for (int64_t r = 0; r < static_cast<int64_t>(cols[0].size()); ++r) {
-        const std::string key =
-            num_keys == 0 ? std::string() : EncodeRowKey(kptrs, r);
-        auto [it, inserted] = index.try_emplace(key, groups.size());
-        if (inserted) {
-          SpillGroup g;
-          g.first_row = cols[0].ints()[static_cast<size_t>(r)];
-          for (size_t k = 0; k < num_keys; ++k) {
-            g.keys.push_back(cols[1 + k].GetValue(r));
-          }
-          g.aggs.resize(num_aggs);
-          groups.push_back(std::move(g));
-          part_key_bytes += static_cast<int64_t>(key.size());
-        }
-        SpillGroup& g = groups[it->second];
-        for (size_t a = 0; a < num_aggs; ++a) {
-          DL2SQL_RETURN_NOT_OK(AccumulateAggValue(
-              node.agg_calls[a]->agg_func,
-              arg_slot[a] < 0
-                  ? Value::Null()
-                  : cols[1 + num_keys + static_cast<size_t>(arg_slot[a])]
-                        .GetValue(r),
-              &g.aggs[a]));
-        }
-      }
-      DL2SQL_RETURN_NOT_OK(part_mem.Charge(
-          part_key_bytes +
-          static_cast<int64_t>((groups.size() - part_first_group) *
-                               (sizeof(size_t) + 48))));
-      part_key_bytes = 0;
+      auto [keys, args] = columns_of(cols);
+      DL2SQL_RETURN_NOT_OK(agg.Consume(keys, args, cols[0].size(),
+                                       {0, cols[0].ints().data()}, &ctx));
+      DL2SQL_RETURN_NOT_OK(
+          part_mem.Charge(agg.StateBytes() - part_mem.charged()));
     }
+    std::vector<int64_t> first_rows;
+    DL2SQL_ASSIGN_OR_RETURN(Table groups, agg.Finish(&first_rows));
+    out_schema = groups.schema();
+    TableSchema run_schema;
+    std::vector<Column> run_cols;
+    run_schema.AddField({"__first", DataType::kInt64});
+    run_cols.push_back(Column::Ints(std::move(first_rows)));
+    for (int i = 0; i < groups.num_columns(); ++i) {
+      run_schema.AddField(groups.schema().field(i));
+      run_cols.push_back(groups.column(i));
+    }
+    DL2SQL_ASSIGN_OR_RETURN(
+        Table run_table, Table::FromColumns(run_schema, std::move(run_cols)));
+    storage::PagedTableBuilder run(engine, run_schema);
+    DL2SQL_RETURN_NOT_OK(run.Append(run_table));
+    DL2SQL_ASSIGN_OR_RETURN(std::shared_ptr<storage::PagedTableData> done,
+                            run.Finish());
+    spilled_bytes += done->logical_bytes();
+    runs.push_back(std::move(done));
   }
   TallySpill(spilled_bytes, spilled_parts);
   static Counter* const external_agg_counter =
       MetricsRegistry::Global().counter("db.external_aggs");
   external_agg_counter->Increment();
 
-  // Partition order scattered the groups; serial emit order is first-seen,
-  // i.e. ascending first_row.
-  std::sort(groups.begin(), groups.end(),
-            [](const SpillGroup& a, const SpillGroup& b) {
-              return a.first_row < b.first_row;
-            });
-  // Global aggregate over empty input still yields one row.
-  if (num_keys == 0 && groups.empty()) {
-    groups.push_back(SpillGroup{-1, {}, std::vector<AggState>(num_aggs)});
-  }
-  DL2SQL_RETURN_NOT_OK(scratch_mem.Charge(static_cast<int64_t>(
-      groups.size() * (sizeof(SpillGroup) + num_aggs * sizeof(AggState)))));
-
-  std::vector<Column> out_cols;
-  TableSchema out_schema;
-  for (size_t k = 0; k < num_keys; ++k) {
-    Column c(key_types[k]);
-    c.Reserve(static_cast<int64_t>(groups.size()));
-    for (const SpillGroup& g : groups) {
-      DL2SQL_RETURN_NOT_OK(c.Append(g.keys[k]));
-    }
-    out_schema.AddField({node.group_names[k], c.type()});
-    out_cols.push_back(std::move(c));
-  }
-  for (size_t a = 0; a < num_aggs; ++a) {
-    const AggFunc f = node.agg_calls[a]->agg_func;
-    Column c(AggOutputType(
-        f, arg_slot[a] >= 0 ? arg_types[static_cast<size_t>(arg_slot[a])]
-                            : DataType::kNull));
-    c.Reserve(static_cast<int64_t>(groups.size()));
-    for (const SpillGroup& g : groups) {
-      DL2SQL_RETURN_NOT_OK(c.Append(AggOutputValue(f, g.aggs[a])));
-    }
-    out_schema.AddField({node.agg_names[a], c.type()});
-    out_cols.push_back(std::move(c));
+  // A refused state charge needs at least one group, hence one input row.
+  if (runs.empty()) {
+    return Status::InternalError("external aggregation spilled no rows");
   }
 
+  // Phase 3: the serial emit order is first-seen, i.e. ascending first row
+  // id. Each run is already in that order and first rows are unique across
+  // runs, so a k-way merge on __first (a min-heap of the runs' heads)
+  // restores it. The winning run's rows below the next head are copied as
+  // one range, streaming through paged output.
+  struct Cursor {
+    const storage::PagedTableData* run;
+    int64_t chunk;
+    std::vector<Column> cols;
+    int64_t row;
+    int64_t first() const { return cols[0].ints()[static_cast<size_t>(row)]; }
+  };
+  std::vector<Cursor> cursors;
+  using Head = std::pair<int64_t, size_t>;  // (__first, cursor)
+  std::priority_queue<Head, std::vector<Head>, std::greater<Head>> heads;
+  for (const auto& r : runs) {
+    DL2SQL_ASSIGN_OR_RETURN(std::vector<Column> cols, r->ReadChunk(0));
+    cursors.push_back({r.get(), 0, std::move(cols), 0});
+    heads.emplace(cursors.back().first(), cursors.size() - 1);
+  }
+  auto empty_batch = [&] {
+    std::vector<Column> batch;
+    for (int i = 0; i < out_schema.num_fields(); ++i) {
+      batch.emplace_back(out_schema.field(i).type);
+    }
+    return batch;
+  };
+  PagedResultWriter writer(engine, out_schema);
+  constexpr int64_t kEmitRows = 16384;
+  std::vector<Column> batch = empty_batch();
+  int64_t batch_rows = 0;
+  auto flush = [&]() -> Status {
+    DL2SQL_ASSIGN_OR_RETURN(Table t,
+                            Table::FromColumns(out_schema, std::move(batch)));
+    batch = empty_batch();
+    batch_rows = 0;
+    return writer.Append(t);
+  };
+  while (!heads.empty()) {
+    const size_t c = heads.top().second;
+    heads.pop();
+    Cursor& best = cursors[c];
+    const std::vector<int64_t>& firsts = best.cols[0].ints();
+    const int64_t next =
+        heads.empty() ? std::numeric_limits<int64_t>::max() : heads.top().first;
+    const int64_t end =
+        std::lower_bound(firsts.begin() + best.row, firsts.end(), next) -
+        firsts.begin();
+    for (size_t i = 0; i < batch.size(); ++i) {
+      batch[i].AppendRange(best.cols[1 + i], best.row, end);
+    }
+    batch_rows += end - best.row;
+    best.row = end;
+    bool more = true;
+    if (best.row == static_cast<int64_t>(firsts.size())) {
+      best.row = 0;
+      more = ++best.chunk < best.run->num_chunks();
+      if (more) {
+        DL2SQL_ASSIGN_OR_RETURN(best.cols, best.run->ReadChunk(best.chunk));
+      }
+    }
+    if (more) heads.emplace(best.first(), c);
+    if (batch_rows >= kEmitRows) DL2SQL_RETURN_NOT_OK(flush());
+  }
+  if (batch_rows > 0) DL2SQL_RETURN_NOT_OK(flush());
+  DL2SQL_ASSIGN_OR_RETURN(Table out, writer.Finish());
   const double inf = DrainEvalContext(ctx);
-  DL2SQL_ASSIGN_OR_RETURN(
-      Table out, Table::FromColumns(std::move(out_schema), std::move(out_cols)));
   ChargeOperator(costs_, "groupby", watch.ElapsedSeconds(), inf);
   return out;
 }

@@ -367,6 +367,9 @@ class Database {
   Result<Table> ExecFilter(const PlanNode& node, Table input);
   Result<Table> ExecProject(const PlanNode& node, Table input);
   Result<Table> ExecJoin(const PlanNode& node, Table left, Table right);
+  /// Equi hash join: admits only the build side (grace join when it does
+  /// not fit) and probes the other side window by window.
+  Result<Table> ExecHashJoin(const PlanNode& node, Table left, Table right);
   Result<Table> ExecAggregate(const PlanNode& node, Table input);
   Result<Table> ExecSort(const PlanNode& node, Table input);
 
@@ -391,10 +394,13 @@ class Database {
   /// spill runs, joins partition pairs, restores the classic pair order.
   Result<Table> ExecJoinGrace(const PlanNode& node, Table left, Table right);
   /// External aggregation: partitions rows (key + argument values) into
-  /// block-file spill runs, aggregates each partition in-core, and merges
-  /// groups back into first-seen order.
+  /// block-file spill runs, aggregates one partition at a time into a run
+  /// of finished groups, and merges the runs back into first-seen order.
+  /// `state_bytes_hint` (the projected in-memory group state) sizes the
+  /// partition count against the remaining query budget.
   Result<Table> ExecAggregateExternal(const PlanNode& node,
-                                      const Table& input);
+                                      const Table& input,
+                                      int64_t state_bytes_hint);
   /// Folds spilled bytes/partitions into the running query tally and the
   /// db.spill.* metrics counters.
   void TallySpill(int64_t bytes, int64_t partitions);

@@ -4,6 +4,7 @@
 
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "common/timer.h"
 #include "db/expr.h"
@@ -115,6 +116,16 @@ struct EvalContext {
 /// Shared, possibly non-owning column handle (column refs alias the input
 /// table's columns to avoid deep copies).
 using ColumnHandle = std::shared_ptr<const Column>;
+
+/// Non-owning views of evaluated columns: the form the key and aggregate
+/// kernels take.
+inline std::vector<const Column*> ColumnPtrs(
+    const std::vector<ColumnHandle>& cols) {
+  std::vector<const Column*> out;
+  out.reserve(cols.size());
+  for (const auto& c : cols) out.push_back(c.get());
+  return out;
+}
 
 /// Evaluates `e` over every row of `input`, producing a column of
 /// input.num_rows() values. Aggregate calls must have been planned away.

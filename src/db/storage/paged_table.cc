@@ -1,7 +1,6 @@
 #include "db/storage/paged_table.h"
 
 #include <algorithm>
-#include <numeric>
 #include <string>
 
 #include "common/logging.h"
@@ -36,51 +35,6 @@ int64_t SliceByteSize(const Column& col, int64_t begin, int64_t end) {
       break;
   }
   return bytes;
-}
-
-// Appends all of `src` onto `dst` column-wise (typed vector inserts, no
-// per-value boxing). Types must match.
-void AppendPiece(Column* dst, const Column& src) {
-  const int64_t dst_rows = dst->size();
-  const int64_t src_rows = src.size();
-  const bool dst_nulls = !dst->validity().empty();
-  const bool src_nulls = !src.validity().empty();
-  switch (dst->type()) {
-    case DataType::kBool: {
-      auto& v = dst->mutable_bools();
-      v.insert(v.end(), src.bools().begin(), src.bools().end());
-      break;
-    }
-    case DataType::kInt64: {
-      auto& v = dst->mutable_ints();
-      v.insert(v.end(), src.ints().begin(), src.ints().end());
-      break;
-    }
-    case DataType::kFloat64: {
-      auto& v = dst->mutable_floats();
-      v.insert(v.end(), src.floats().begin(), src.floats().end());
-      break;
-    }
-    case DataType::kString:
-    case DataType::kBlob: {
-      auto& v = dst->mutable_strings();
-      v.insert(v.end(), src.strings().begin(), src.strings().end());
-      break;
-    }
-    case DataType::kNull:
-      break;
-  }
-  if (dst_nulls || src_nulls) {
-    std::vector<uint8_t> merged = dst->validity();
-    if (merged.empty()) merged.assign(static_cast<size_t>(dst_rows), 1);
-    if (src_nulls) {
-      merged.insert(merged.end(), src.validity().begin(),
-                    src.validity().end());
-    } else {
-      merged.insert(merged.end(), static_cast<size_t>(src_rows), 1);
-    }
-    dst->SetValidity(std::move(merged));
-  }
 }
 
 }  // namespace
@@ -159,7 +113,8 @@ Result<std::vector<Column>> PagedTableData::Gather(
       ++i;
     }
     for (size_t k = 0; k < out.size(); ++k) {
-      AppendPiece(&out[k], cached[k].Take(local));
+      out[k].AppendRange(cached[k].Take(local), 0,
+                         static_cast<int64_t>(local.size()));
     }
   }
   return out;
@@ -172,7 +127,7 @@ Result<std::vector<Column>> PagedTableData::Materialize() const {
   for (int64_t c = 0; c < num_chunks(); ++c) {
     DL2SQL_ASSIGN_OR_RETURN(std::vector<Column> cols, ReadChunk(c));
     for (size_t k = 0; k < out.size(); ++k) {
-      AppendPiece(&out[k], cols[k]);
+      out[k].AppendRange(cols[k], 0, cols[k].size());
     }
   }
   return out;
@@ -246,10 +201,8 @@ Status PagedTableBuilder::Append(const Table& t) {
     }
     const int64_t take = std::min(chunk_rows - staging_.num_rows(),
                                   t.num_rows() - pos);
-    std::vector<int64_t> idx(static_cast<size_t>(take));
-    std::iota(idx.begin(), idx.end(), pos);
     for (int c = 0; c < t.num_columns(); ++c) {
-      AppendPiece(&staging_.mutable_column(c), t.column(c).Take(idx));
+      staging_.mutable_column(c).AppendRange(t.column(c), pos, pos + take);
     }
     pos += take;
     if (staging_.num_rows() == chunk_rows) {

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <mutex>
 #include <numeric>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -174,6 +175,34 @@ TEST(ThreadPoolMorselTest, FixedBoundariesRegardlessOfThreadCount) {
                 std::min<int64_t>(10000, static_cast<int64_t>(i + 1) * 1024));
     }
   }
+}
+
+TEST(ThreadPoolMorselTest, ConcurrentCallersSurviveBackToBackSmallCalls) {
+  // Each call's completion state lives on its caller's stack. Many short
+  // calls from several threads at once make the caller's return race the
+  // last worker's completion signal; the pool must never touch a finished
+  // call's frame (run under TSAN/ASan to see it).
+  ThreadPool pool(4);
+  constexpr int kCallers = 4;
+  constexpr int kCallsPerCaller = 3000;
+  std::atomic<int64_t> rows{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&] {
+      for (int i = 0; i < kCallsPerCaller; ++i) {
+        const Status s = pool.ParallelForMorsel(
+            64, 8, [&](int64_t b, int64_t e, int) {
+              rows.fetch_add(e - b, std::memory_order_relaxed);
+              return Status::OK();
+            });
+        if (!s.ok()) failures.fetch_add(1);
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(rows.load(), int64_t{kCallers} * kCallsPerCaller * 64);
 }
 
 TEST(DeviceTest, ProfilesMatchPaperTestbeds) {

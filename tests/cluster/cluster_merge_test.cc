@@ -169,7 +169,7 @@ TEST(ClusterMerge, KWayMergeNullsFirst) {
 TEST(ClusterMerge, GlobalAggregatesMergeAcrossShards) {
   // Partials: [count, sum, min, max] with no group keys — every shard
   // contributes exactly one row. SUM re-aggregates as float64, matching the
-  // engine's aggregate typing (vector_aggregate types SUM/AVG as kFloat64).
+  // engine's aggregate typing (hash_aggregate types SUM/AVG as kFloat64).
   const db::TableSchema partial = IntSchema({"c", "s", "lo", "hi"});
   const db::TableSchema out = db::TableSchema({{"c", db::DataType::kInt64},
                                                {"s", db::DataType::kFloat64},

@@ -1,7 +1,9 @@
 /// \file spill_exec_test.cc
-/// \brief Bit-identity of the spilling executor paths (grace hash join,
-/// external aggregation, windowed filter/project) against the in-memory
-/// executor, across several pool/query-memory budgets.
+/// \brief Bit-identity of the out-of-core executor paths against the
+/// in-memory executor, across several pool/query-memory budgets: streamed
+/// hash-join probes and aggregation inputs (no spill), and the grace hash
+/// join and external aggregation for build sides and group states that do
+/// not fit the budget.
 ///
 /// All databases here run serially (no device pool), because the parallel
 /// in-memory aggregation merges float state in worker order; the spill
@@ -13,7 +15,9 @@
 #include <string>
 #include <vector>
 
+#include "accel/device.h"
 #include "common/logging.h"
+#include "db/storage/paged_table.h"
 #include "common/mem_tracker.h"
 #include "db/database.h"
 #include "db/storage/storage_engine.h"
@@ -69,13 +73,12 @@ void FillTables(Database* db) {
   DL2SQL_CHECK(db->RegisterTable("dim", std::move(dim)).ok());
 }
 
-// The join probe side must be the whole fact table (nothing pushable below
-// the join), or the planner's pushed-down filter shrinks the input under the
-// query budget and the in-memory join runs instead of the grace join.
+// The join probe side is the whole fact table (nothing pushable below the
+// join): it streams window by window against the resident 96-row dim build.
 const char* const kJoinSql =
     "SELECT F.id, F.grp, D.w FROM fact F INNER JOIN dim D ON F.grp = D.id";
 // The residual references both sides, so it must survive as a join_condition
-// applied after pair emission (slice-local in the grace path).
+// applied after pair emission (window-local when the probe streams).
 const char* const kJoinResidualSql =
     "SELECT F.id, D.w FROM fact F INNER JOIN dim D "
     "ON F.grp = D.id AND F.id % 7 < D.id";
@@ -87,6 +90,14 @@ const char* const kGlobalAggSql =
     "SELECT count(*) AS c, sum(val) AS s, avg(val) AS a FROM fact";
 const char* const kFilterProjectSql =
     "SELECT id * 2 AS d, val + 1.0 AS v FROM fact WHERE grp < 7";
+// Over-budget state: the self-join's build side is the whole fact table
+// (grace join), and GROUP BY id holds one group per fact row, so its state
+// outgrows the budget mid-stream and the operator restarts as external
+// aggregation.
+const char* const kSelfJoinSql =
+    "SELECT A.id, B.grp FROM fact A INNER JOIN fact B ON A.id = B.id";
+const char* const kGroupByIdSql =
+    "SELECT id, count(*) AS c FROM fact GROUP BY id";
 
 std::vector<std::string> RunAll(Database* db,
                                 const std::vector<const char*>& queries) {
@@ -130,9 +141,9 @@ struct PagedConfig {
 };
 
 void ExpectBitIdentical(const PagedConfig& cfg) {
-  const std::vector<const char*> queries = {kJoinSql, kJoinResidualSql,
-                                            kAggSql, kGlobalAggSql,
-                                            kFilterProjectSql};
+  const std::vector<const char*> queries = {
+      kJoinSql,          kJoinResidualSql, kAggSql,      kGlobalAggSql,
+      kFilterProjectSql, kSelfJoinSql,     kGroupByIdSql};
   const std::vector<std::string> expected = ReferenceRenders(queries);
 
   Database db;
@@ -152,13 +163,21 @@ void ExpectBitIdentical(const PagedConfig& cfg) {
     EXPECT_EQ(r->ToString(r->num_rows()), expected[q]) << queries[q];
   }
 
-  // The fact table (~2.8 MB) cannot be admitted under the query budget, so
-  // the join and aggregation must have taken the spill paths.
-  EXPECT_GT(SpillBytesFor(&db, kJoinSql), 0);
-  EXPECT_GT(SpillBytesFor(&db, kAggSql), 0);
+  // The fact table (~2.8 MB) does not fit the query budget, but the join
+  // probes it window by window against the resident dim table and the
+  // aggregations fold it window by window into small group states: none of
+  // them spills.
+  for (const char* sql :
+       {kJoinSql, kJoinResidualSql, kAggSql, kGlobalAggSql}) {
+    EXPECT_EQ(SpillBytesFor(&db, sql), 0) << sql;
+  }
+  // A fact-sized build side and a fact-sized group state do not fit: they
+  // take the grace join and external aggregation.
+  EXPECT_GT(SpillBytesFor(&db, kSelfJoinSql), 0);
+  EXPECT_GT(SpillBytesFor(&db, kGroupByIdSql), 0);
 }
 
-TEST(SpillExecTest, GraceJoinAndExternalAggMatchInMemory) {
+TEST(SpillExecTest, StreamedAndSpilledOperatorsMatchInMemory) {
   ScopedTrackingEnabled guard;
   REQUIRE_TRACKING(guard);
   // Comfortable pool, a query budget below the fact table's footprint.
@@ -201,6 +220,263 @@ TEST(SpillExecTest, PagedModeWithoutPressureIsStillBitIdentical) {
   const std::vector<std::string> got = RunAll(&db, queries);
   for (size_t q = 0; q < queries.size(); ++q) {
     EXPECT_EQ(got[q], expected[q]) << queries[q];
+  }
+}
+
+/// Paged database over FillTables' data: everything non-trivial is paged,
+/// with a query budget below the fact table's footprint.
+void OpenPaged(Database* db) {
+  storage::StorageOptions opts;
+  opts.pool_bytes = 1u << 20;
+  opts.page_min_bytes = 4096;
+  DL2SQL_CHECK(db->set_storage_mode(StorageMode::kPaged, opts).ok());
+  FillTables(db);
+  db->set_query_mem_limit(1 << 20);
+}
+
+const PlanNode* FindJoin(const PlanNode& node) {
+  if (node.kind == PlanKind::kJoin) return &node;
+  for (const auto& c : node.children) {
+    if (const PlanNode* j = FindJoin(*c)) return j;
+  }
+  return nullptr;
+}
+
+TEST(SpillExecTest, BuildOnLeftStreamsTheRightHandProbeInOrder) {
+  ScopedTrackingEnabled guard;
+  REQUIRE_TRACKING(guard);
+  // dim is the smaller, left input, so the optimizer builds on the left and
+  // the output follows the paged right-hand fact table's row order.
+  const char* const sql =
+      "SELECT D.w, F.id, F.val FROM dim D INNER JOIN fact F "
+      "ON D.id = F.grp AND F.id % 5 <> 2";
+  const std::vector<std::string> expected = ReferenceRenders({sql});
+  Database db;
+  OpenPaged(&db);
+  auto r = db.Execute(sql);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->ToString(r->num_rows()), expected[0]);
+  const PlanNode* join = FindJoin(*db.last_plan());
+  ASSERT_NE(join, nullptr);
+  EXPECT_TRUE(join->join_build_left);
+  EXPECT_EQ(SpillBytesFor(&db, sql), 0);
+}
+
+TEST(SpillExecTest, EmptyPagedInputAggregates) {
+  ScopedTrackingEnabled guard;
+  REQUIRE_TRACKING(guard);
+  const TableSchema schema({{"grp", DataType::kInt64},
+                            {"val", DataType::kFloat64}});
+  Database db;
+  OpenPaged(&db);
+  storage::PagedTableBuilder builder(db.storage_engine(), schema);
+  auto data = builder.Finish();
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  ASSERT_TRUE(
+      db.RegisterTable("empty", Table::FromPaged(schema, std::move(*data)))
+          .ok());
+
+  auto global = db.Execute(
+      "SELECT count(*) AS c, sum(val) AS s, min(val) AS lo FROM empty");
+  ASSERT_TRUE(global.ok()) << global.status().ToString();
+  ASSERT_EQ(global->num_rows(), 1);
+  EXPECT_EQ(global->column(0).GetValue(0).int_value(), 0);
+  EXPECT_TRUE(global->column(1).GetValue(0).is_null());
+  EXPECT_TRUE(global->column(2).GetValue(0).is_null());
+
+  auto grouped =
+      db.Execute("SELECT grp, count(*) AS c FROM empty GROUP BY grp");
+  ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
+  EXPECT_EQ(grouped->num_rows(), 0);
+  EXPECT_EQ(grouped->num_columns(), 2);
+}
+
+TEST(SpillExecTest, PagedBuildSideThatFitsIsMaterializedAndProbed) {
+  ScopedTrackingEnabled guard;
+  REQUIRE_TRACKING(guard);
+  // A 3000-row build side (~48 KB) is paged at page_min_bytes = 4096 but
+  // fits the 1 MB budget: it is materialized, then probed by the streamed
+  // fact windows without spilling.
+  auto add_mid = [](Database* db) {
+    Table mid{TableSchema({{"id", DataType::kInt64}, {"w", DataType::kInt64}})};
+    for (int64_t i = 0; i < 3000; ++i) {
+      DL2SQL_CHECK(mid.AppendRow({Value::Int(i * 10), Value::Int(i)}).ok());
+    }
+    DL2SQL_CHECK(db->RegisterTable("mid", std::move(mid)).ok());
+  };
+  const char* const sql =
+      "SELECT F.id, M.w FROM fact F INNER JOIN mid M ON F.id = M.id";
+  Database ref;
+  ASSERT_TRUE(ref.set_storage_mode(StorageMode::kInMemory).ok());
+  FillTables(&ref);
+  add_mid(&ref);
+  auto want = ref.Execute(sql);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+
+  Database db;
+  OpenPaged(&db);
+  add_mid(&db);
+  auto mid = db.catalog().GetTable("mid");
+  ASSERT_TRUE(mid.ok());
+  ASSERT_TRUE((*mid)->is_paged());
+  auto got = db.Execute(sql);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got->num_rows(), 3000);
+  EXPECT_EQ(got->ToString(got->num_rows()), want->ToString(want->num_rows()));
+  EXPECT_EQ(SpillBytesFor(&db, sql), 0);
+}
+
+/// Renders `sql` on a serial in-memory database and on OpenPaged's paged one,
+/// both holding FillTables' data plus whatever `add` registers.
+void ExpectPagedMatchesInMemory(void (*add)(Database*), const char* sql,
+                                Database* db) {
+  Database ref;
+  ASSERT_TRUE(ref.set_storage_mode(StorageMode::kInMemory).ok());
+  FillTables(&ref);
+  add(&ref);
+  auto want = ref.Execute(sql);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+
+  OpenPaged(db);
+  add(db);
+  auto got = db->Execute(sql);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got->num_rows(), want->num_rows());
+  EXPECT_EQ(got->ToString(got->num_rows()), want->ToString(want->num_rows()));
+}
+
+TEST(SpillExecTest, BuildSideWhoseHashTableDoesNotFitTakesTheGraceJoin) {
+  ScopedTrackingEnabled guard;
+  REQUIRE_TRACKING(guard);
+  // 20000 rows of two int64s (~320 KB) fit the 1 MB budget by input bytes,
+  // but the hash table over 20000 unique keys is estimated at ~1.1 MB: the
+  // build charge is refused before anything is emitted and the join hands
+  // over to the grace join.
+  const auto add_big = [](Database* db) {
+    Table big{TableSchema({{"id", DataType::kInt64}, {"w", DataType::kInt64}})};
+    for (int64_t i = 0; i < 20000; ++i) {
+      DL2SQL_CHECK(big.AppendRow({Value::Int(i), Value::Int(i % 13)}).ok());
+    }
+    DL2SQL_CHECK(db->RegisterTable("big", std::move(big)).ok());
+  };
+  const char* const sql =
+      "SELECT F.id, B.w FROM fact F INNER JOIN big B ON F.id = B.id";
+  Database db;
+  ExpectPagedMatchesInMemory(add_big, sql, &db);
+  const PlanNode* join = FindJoin(*db.last_plan());
+  ASSERT_NE(join, nullptr);
+  EXPECT_FALSE(join->join_build_left);  // builds on big
+  EXPECT_GT(SpillBytesFor(&db, sql), 0);
+}
+
+TEST(SpillExecTest, LongStringGroupKeysSpillWhenTheirPayloadOverflows) {
+  ScopedTrackingEnabled guard;
+  REQUIRE_TRACKING(guard);
+  // 4000 distinct ~400-byte keys: the group state holds ~1.6 MB of key
+  // payload, over the 1 MB budget, so the paged GROUP BY falls back to
+  // external aggregation mid-stream.
+  const auto add_words = [](Database* db) {
+    Table words{TableSchema({{"s", DataType::kString},
+                             {"v", DataType::kInt64}})};
+    for (int64_t i = 0; i < 5000; ++i) {
+      const int64_t k = (i * 7919) % 4000;
+      DL2SQL_CHECK(
+          words
+              .AppendRow({Value::String(std::string(400, 'a' + k % 26) +
+                                        std::to_string(k)),
+                          Value::Int(i)})
+              .ok());
+    }
+    DL2SQL_CHECK(db->RegisterTable("words", std::move(words)).ok());
+  };
+  const char* const sql =
+      "SELECT s, count(*) AS c, sum(v) AS t FROM words GROUP BY s";
+  Database db;
+  ExpectPagedMatchesInMemory(add_words, sql, &db);
+  EXPECT_GT(SpillBytesFor(&db, sql), 0);
+}
+
+TEST(SpillExecTest, LaterWindowsWithNullsSwitchAccumulatorsMidStream) {
+  // The first chunks hold no NULLs, so grouping starts on the typed int map
+  // and the aggregates on the typed kernels. Later chunks bring NULL keys
+  // and NULL arguments: the grouper re-indexes its groups by canonical hash
+  // and the kernel states convert to the boxed row form mid-stream. Results
+  // must equal whole-table aggregation either way.
+  const TableSchema schema({{"grp", DataType::kInt64},
+                            {"ival", DataType::kInt64},
+                            {"val", DataType::kFloat64}});
+  auto fill = [&](Database* db) {
+    Table t{schema};
+    for (int64_t i = 0; i < 20000; ++i) {
+      const bool late = i >= 12000;
+      const Value val =
+          Value::Float(static_cast<double>((i * 7919) % 1000) / 3.0);
+      DL2SQL_CHECK(
+          t.AppendRow({late && i % 11 == 0 ? Value::Null() : Value::Int(i % 37),
+                       late && i % 13 == 0 ? Value::Null()
+                                           : Value::Int(i % 101 - 50),
+                       late && i % 7 == 0 ? Value::Null() : val})
+              .ok());
+    }
+    DL2SQL_CHECK(db->RegisterTable("nulls", std::move(t)).ok());
+  };
+  const std::vector<const char*> queries = {
+      "SELECT grp, count(*) AS n, count(val) AS c, sum(val) AS s, "
+      "avg(val) AS a, min(val) AS lo, max(ival) AS hi, "
+      "stddev_samp(ival) AS sd FROM nulls GROUP BY grp",
+      "SELECT count(val) AS c, sum(val) AS s, min(ival) AS lo FROM nulls"};
+  for (bool vectorized : {true, false}) {
+    Database ref;
+    ASSERT_TRUE(ref.set_storage_mode(StorageMode::kInMemory).ok());
+    ref.set_vectorized(vectorized);
+    fill(&ref);
+    Database db;
+    storage::StorageOptions opts;
+    opts.pool_bytes = 1u << 20;
+    opts.page_min_bytes = 4096;
+    ASSERT_TRUE(db.set_storage_mode(StorageMode::kPaged, opts).ok());
+    db.set_vectorized(vectorized);
+    fill(&db);
+    auto paged = db.catalog().GetTable("nulls");
+    ASSERT_TRUE(paged.ok());
+    ASSERT_TRUE((*paged)->is_paged());
+    for (const char* sql : queries) {
+      auto want = ref.Execute(sql);
+      auto got = db.Execute(sql);
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(got->ToString(got->num_rows()),
+                want->ToString(want->num_rows()))
+          << sql << " vectorized=" << vectorized;
+    }
+  }
+}
+
+TEST(SpillExecTest, ParallelStreamedWindowsKeepSerialOrder) {
+  ScopedTrackingEnabled guard;
+  REQUIRE_TRACKING(guard);
+  // Morsel-parallel probes and worker-local group states, window after
+  // window: pair order and first-seen group order must stay serial. The
+  // aggregates are exact in any fold order (counts, min/max), so values
+  // match too.
+  const std::vector<const char*> queries = {
+      kJoinSql,
+      // New groups in every morsel of the first windows, met again later.
+      "SELECT id % 3000 AS k, count(*) AS c, min(val) AS lo FROM fact "
+      "GROUP BY id % 3000",
+      "SELECT grp, count(*) AS c, min(val) AS lo FROM fact GROUP BY grp"};
+  const std::vector<std::string> expected = ReferenceRenders(queries);
+  DeviceProfile profile = Device::ServerCpuProfile();
+  profile.num_threads = 4;
+  Device device(profile);
+  Database db;
+  OpenPaged(&db);
+  db.set_exec_options({&device, /*morsel_size=*/64});
+  for (size_t q = 0; q < queries.size(); ++q) {
+    auto r = db.Execute(queries[q]);
+    ASSERT_TRUE(r.ok()) << queries[q] << ": " << r.status().ToString();
+    EXPECT_EQ(r->ToString(r->num_rows()), expected[q]) << queries[q];
+    EXPECT_EQ(SpillBytesFor(&db, queries[q]), 0) << queries[q];
   }
 }
 
