@@ -70,10 +70,12 @@ pass_tsan_pinned() {
   # Redundant with the full TSAN suite above, but pinned by name so the
   # concurrency-sensitive observability, caching, vectorized-kernel,
   # resource-accounting, and out-of-core tests (buffer-pool frames are
-  # pinned and evicted from concurrent query threads) cannot silently drop
-  # out of coverage if the suite layout changes.
+  # pinned and evicted from concurrent query threads), and the native NN
+  # kernels (per-thread im2col scratch read by pool workers while several
+  # threads run forwards on one model) cannot silently drop out of coverage
+  # if the suite layout changes.
   ctest --test-dir build-ci-tsan --output-on-failure \
-    -R "trace|metrics|counters|cache|server|vector|profile|mem_tracker|storage|spill|buffer_pool|cluster|accel"
+    -R "trace|metrics|counters|cache|server|vector|profile|mem_tracker|storage|spill|buffer_pool|cluster|accel|nn_compute"
 }
 
 pass_asan_build() {

@@ -2,9 +2,131 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <vector>
 
 namespace dl2sql::nn {
+
+namespace {
+
+// The GEMM row kernel shared by Conv2dForward, LinearForward and
+// ParallelMatMul. For rows i of a [m, k] and b [k, n] it writes
+//   out[i, j] = (sum over kk = 0, 1, ..., k-1 with a[i, kk] != 0 of
+//                a[i, kk] * b[kk, j]) [+ bias[i]]
+// accumulated from 0.f in ascending kk, with the bias added last. Per element
+// that is the float sequence of the scalar MatMul (tensor_ops.cc), so results
+// are bit-identical to it; only the order in which elements are visited
+// differs. Never reorder the reduction. Speed comes from register tiles of
+// kRows output rows, so each b load feeds kRows rows, and from packing four
+// output columns per vector: GCC vector extensions give packed SSE arithmetic
+// at the baseline -O2, and lane-wise * and + are the same IEEE single
+// operations as the scalar code.
+constexpr int kRows = 4;
+
+using Vec4 = float __attribute__((vector_size(16)));
+
+inline Vec4 Load4(const float* p) {
+  Vec4 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+inline void Store4(float* p, Vec4 v) { std::memcpy(p, &v, sizeof v); }
+
+// Rows [i, i + R) x columns [j, j + 4 * V).
+template <int R, int V>
+void VecTile(const float* a, const float* b, const float* bias, float* out,
+             int64_t k, int64_t n, int64_t i, int64_t j) {
+  Vec4 acc[R][V] = {};
+  for (int64_t kk = 0; kk < k; ++kk) {
+    Vec4 bv[V];
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) bv[v] = Load4(b + kk * n + j + 4 * v);
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      const float av = a[(i + r) * k + kk];
+      if (av == 0.f) continue;
+#pragma GCC unroll 2
+      for (int v = 0; v < V; ++v) acc[r][v] += av * bv[v];
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) {
+      Store4(out + (i + r) * n + j + 4 * v,
+             bias != nullptr ? acc[r][v] + bias[i + r] : acc[r][v]);
+    }
+  }
+}
+
+// Rows [i, i + R) x the single column j (n % 4 tails, and n == 1 for Linear).
+template <int R>
+void ScalarTile(const float* a, const float* b, const float* bias, float* out,
+                int64_t k, int64_t n, int64_t i, int64_t j) {
+  float acc[R] = {};
+  for (int64_t kk = 0; kk < k; ++kk) {
+    const float bv = b[kk * n + j];
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      const float av = a[(i + r) * k + kk];
+      if (av == 0.f) continue;
+      acc[r] += av * bv;
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+    out[(i + r) * n + j] = bias != nullptr ? acc[r] + bias[i + r] : acc[r];
+  }
+}
+
+template <int R>
+void RowBlock(const float* a, const float* b, const float* bias, float* out,
+              int64_t k, int64_t n, int64_t i) {
+  int64_t j = 0;
+  for (; j + 8 <= n; j += 8) VecTile<R, 2>(a, b, bias, out, k, n, i, j);
+  for (; j + 4 <= n; j += 4) VecTile<R, 1>(a, b, bias, out, k, n, i, j);
+  for (; j < n; ++j) ScalarTile<R>(a, b, bias, out, k, n, i, j);
+}
+
+// Output rows [r0, r1) of out = a [m, k] x b [k, n] (+ bias [m]).
+void GemmRows(const float* a, const float* b, const float* bias, float* out,
+              int64_t k, int64_t n, int64_t r0, int64_t r1) {
+  int64_t i = r0;
+  for (; i + kRows <= r1; i += kRows) {
+    RowBlock<kRows>(a, b, bias, out, k, n, i);
+  }
+  switch (r1 - i) {
+    case 3:
+      RowBlock<3>(a, b, bias, out, k, n, i);
+      break;
+    case 2:
+      RowBlock<2>(a, b, bias, out, k, n, i);
+      break;
+    case 1:
+      RowBlock<1>(a, b, bias, out, k, n, i);
+      break;
+    default:
+      break;
+  }
+}
+
+// Runs GemmRows over all m output rows, split over the device's pool on
+// multi-threaded profiles; chunks of rows never alias.
+void Gemm(const float* a, const float* b, const float* bias, float* out,
+          int64_t m, int64_t k, int64_t n, Device* device) {
+  auto body = [&](int64_t r0, int64_t r1) {
+    GemmRows(a, b, bias, out, k, n, r0, r1);
+  };
+  if (device != nullptr && device->pool()->num_threads() > 1 && m > 1) {
+    device->pool()->ParallelFor(m, body);
+  } else {
+    body(0, m);
+  }
+}
+
+}  // namespace
 
 Result<Tensor> ParallelMatMul(const Tensor& a, const Tensor& b, Device* device) {
   if (a.shape().ndim() != 2 || b.shape().ndim() != 2) {
@@ -19,26 +141,7 @@ Result<Tensor> ParallelMatMul(const Tensor& a, const Tensor& b, Device* device) 
   }
   const int64_t n = b.shape()[1];
   Tensor out(Shape({m, n}));
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out.data();
-  auto body = [&](int64_t r0, int64_t r1) {
-    for (int64_t i = r0; i < r1; ++i) {
-      float* orow = po + i * n;
-      for (int64_t kk = 0; kk < k; ++kk) {
-        const float av = pa[i * k + kk];
-        if (av == 0.f) continue;
-        const float* brow = pb + kk * n;
-        for (int64_t j = 0; j < n; ++j) orow[j] += av * brow[j];
-      }
-    }
-  };
-  if (device != nullptr && device->pool()->num_threads() > 1 && m > 1) {
-    // Parallelize over output rows; chunks of rows never alias.
-    device->pool()->ParallelFor(m, body);
-  } else {
-    body(0, m);
-  }
+  Gemm(a.data(), b.data(), nullptr, out.data(), m, k, n, device);
   return out;
 }
 
@@ -54,37 +157,31 @@ Result<Tensor> Conv2dForward(const Tensor& input, const Tensor& weight,
                                    weight.shape().ToString());
   }
   const int64_t out_c = weight.shape()[0];
-  const int64_t in_c = weight.shape()[1];
-  const int64_t kh = weight.shape()[2];
-  const int64_t kw = weight.shape()[3];
-  if (input.shape()[0] != in_c) {
+  if (input.shape()[0] != weight.shape()[1]) {
     return Status::InvalidArgument("conv channel mismatch: input ",
                                    input.shape().ToString(), " weight ",
                                    weight.shape().ToString());
   }
-  const int64_t h = input.shape()[1];
-  const int64_t w = input.shape()[2];
-  const int64_t out_h = (h + 2 * pad - kh) / stride + 1;
-  const int64_t out_w = (w + 2 * pad - kw) / stride + 1;
-  if (out_h <= 0 || out_w <= 0) {
-    return Status::InvalidArgument("conv output would be empty: input ",
-                                   input.shape().ToString(), " kernel ", kh, "x",
-                                   kw, " stride ", stride, " pad ", pad);
+  if (bias != nullptr && bias->NumElements() != out_c) {
+    return Status::InvalidArgument("conv bias size mismatch");
   }
-
-  DL2SQL_ASSIGN_OR_RETURN(Tensor cols, Im2Col(input, kh, kw, stride, pad));
   DL2SQL_ASSIGN_OR_RETURN(
-      Tensor wmat, weight.Reshape(Shape({out_c, in_c * kh * kw})));
-  DL2SQL_ASSIGN_OR_RETURN(Tensor prod, ParallelMatMul(wmat, cols, device));
+      Im2ColGeometry g,
+      MakeIm2ColGeometry(input.shape(), weight.shape()[2], weight.shape()[3],
+                         stride, pad));
 
-  Tensor out(Shape({out_c, out_h, out_w}));
-  const int64_t plane = out_h * out_w;
-  for (int64_t oc = 0; oc < out_c; ++oc) {
-    const float b = bias != nullptr ? bias->at(oc) : 0.f;
-    const float* src = prod.data() + oc * plane;
-    float* dst = out.data() + oc * plane;
-    for (int64_t i = 0; i < plane; ++i) dst[i] = src[i] + b;
-  }
+  // The patch matrix lives in a per-thread buffer reused across convs, so a
+  // forward pass allocates only its outputs. Pool workers splitting the GEMM
+  // read the calling thread's buffer while it waits in ParallelFor.
+  thread_local std::vector<float> cols;
+  const size_t need = static_cast<size_t>(g.rows() * g.cols());
+  if (cols.size() < need) cols.resize(need);
+  Im2ColInto(input.data(), g, cols.data());
+
+  // OIHW weights are already the row-major [out_c, in_c * kh * kw] matrix.
+  Tensor out(Shape({out_c, g.out_h, g.out_w}));
+  Gemm(weight.data(), cols.data(), bias != nullptr ? bias->data() : nullptr,
+       out.data(), out_c, g.rows(), g.cols(), device);
   return out;
 }
 
@@ -214,16 +311,15 @@ Result<Tensor> LinearForward(const Tensor& input, const Tensor& weight,
     return Status::InvalidArgument("Linear input size ", input.NumElements(),
                                    " != weight in-dim ", in_dim);
   }
-  DL2SQL_ASSIGN_OR_RETURN(Tensor x, input.Reshape(Shape({in_dim, 1})));
-  DL2SQL_ASSIGN_OR_RETURN(Tensor y, ParallelMatMul(weight, x, device));
-  DL2SQL_ASSIGN_OR_RETURN(Tensor flat, y.Reshape(Shape({out_dim})));
-  if (bias != nullptr) {
-    if (bias->NumElements() != out_dim) {
-      return Status::InvalidArgument("Linear bias size mismatch");
-    }
-    for (int64_t i = 0; i < out_dim; ++i) flat.at(i) += bias->at(i);
+  if (bias != nullptr && bias->NumElements() != out_dim) {
+    return Status::InvalidArgument("Linear bias size mismatch");
   }
-  return flat;
+  // y = W x is the n == 1 case of the shared kernel: x is a [in_dim, 1]
+  // column read in place.
+  Tensor out(Shape({out_dim}));
+  Gemm(weight.data(), input.data(), bias != nullptr ? bias->data() : nullptr,
+       out.data(), out_dim, in_dim, 1, device);
+  return out;
 }
 
 Result<Tensor> Deconv2dForward(const Tensor& input, const Tensor& weight,

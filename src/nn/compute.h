@@ -14,7 +14,8 @@
 namespace dl2sql::nn {
 
 /// 2-D convolution of a CHW input with OIHW weights, optional bias [out_c].
-/// Implemented as im2col + a device-parallel matmul.
+/// Implemented as im2col into a reused per-thread buffer + the shared GEMM
+/// row kernel; each output element is bit-identical to Im2Col + MatMul + bias.
 Result<Tensor> Conv2dForward(const Tensor& input, const Tensor& weight,
                              const Tensor* bias, int64_t stride, int64_t pad,
                              Device* device);
@@ -45,7 +46,8 @@ Result<Tensor> LinearForward(const Tensor& input, const Tensor& weight,
 Result<Tensor> Deconv2dForward(const Tensor& input, const Tensor& weight,
                                const Tensor* bias, int64_t stride, int64_t pad);
 
-/// Matmul whose row loop is spread over the device's thread pool.
+/// Matmul whose row loop is spread over the device's thread pool;
+/// bit-identical to MatMul.
 Result<Tensor> ParallelMatMul(const Tensor& a, const Tensor& b, Device* device);
 
 }  // namespace dl2sql::nn

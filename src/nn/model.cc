@@ -1,5 +1,6 @@
 #include "nn/model.h"
 
+#include <optional>
 #include <sstream>
 
 #include "common/trace.h"
@@ -14,10 +15,17 @@ Result<Tensor> Model::Forward(const Tensor& input, Device* device) const {
   }
   Tensor x = input;
   for (const auto& layer : layers_) {
+#if !defined(DL2SQL_TRACING_DISABLED)
     // One span per layer forward; the kind is the span name so traces
-    // aggregate across models, the layer instance goes into args.
-    DL2SQL_TRACE_SPAN("nn", LayerKindToString(layer->kind()),
-                      "\"layer\":\"" + layer->name() + "\"");
+    // aggregate across models, the layer instance goes into args. The strings
+    // are built only while tracing is on: this loop runs for every layer of
+    // every native predict.
+    std::optional<TraceSpan> span;
+    if (TraceCollector::Global().enabled()) {
+      span.emplace("nn", LayerKindToString(layer->kind()),
+                   "\"layer\":\"" + layer->name() + "\"");
+    }
+#endif
     auto r = layer->Forward(x, device);
     if (!r.ok()) return r.status().WithContext("layer " + layer->name());
     x = std::move(r).ValueOrDie();

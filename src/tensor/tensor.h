@@ -128,9 +128,31 @@ Result<double> MaxAbsDiff(const Tensor& a, const Tensor& b);
 /// Zero-pads a CHW tensor by `pad` on both sides of H and W.
 Result<Tensor> PadChw(const Tensor& input, int64_t pad);
 
+/// Shape of one im2col unfold of a CHW input: a [rows(), cols()] patch matrix.
+struct Im2ColGeometry {
+  int64_t c = 0, h = 0, w = 0;  ///< input channels, height, width
+  int64_t kh = 0, kw = 0, stride = 1, pad = 0;
+  int64_t out_h = 0, out_w = 0;
+
+  int64_t rows() const { return c * kh * kw; }
+  int64_t cols() const { return out_h * out_w; }
+};
+
+/// Checks an im2col of an `input`-shaped tensor (CHW, positive stride,
+/// non-negative pad, kernel no larger than the padded input) and returns its
+/// geometry.
+Result<Im2ColGeometry> MakeIm2ColGeometry(const Shape& input, int64_t kh,
+                                          int64_t kw, int64_t stride,
+                                          int64_t pad);
+
+/// Writes the patch matrix of the CHW data at `input` into `out`
+/// (g.rows() * g.cols() floats), reading padding as zeros. This is the one
+/// im2col loop: Im2Col wraps it, and the minidl conv kernel unfolds into a
+/// reused scratch buffer with it.
+void Im2ColInto(const float* input, const Im2ColGeometry& g, float* out);
+
 /// im2col: unfolds a CHW input into a [C*kh*kw, out_h*out_w] patch matrix for
-/// convolution-as-matmul. Used by the minidl conv kernel and mirrored by the
-/// DL2SQL feature-map table layout.
+/// convolution-as-matmul. Mirrored by the DL2SQL feature-map table layout.
 Result<Tensor> Im2Col(const Tensor& input, int64_t kh, int64_t kw, int64_t stride,
                       int64_t pad);
 

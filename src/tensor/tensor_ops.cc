@@ -135,41 +135,80 @@ Result<Tensor> PadChw(const Tensor& input, int64_t pad) {
   return out;
 }
 
-Result<Tensor> Im2Col(const Tensor& input, int64_t kh, int64_t kw, int64_t stride,
-                      int64_t pad) {
-  if (input.shape().ndim() != 3) {
+Result<Im2ColGeometry> MakeIm2ColGeometry(const Shape& input, int64_t kh,
+                                          int64_t kw, int64_t stride,
+                                          int64_t pad) {
+  if (input.ndim() != 3) {
     return Status::InvalidArgument("Im2Col requires CHW input, got ",
-                                   input.shape().ToString());
+                                   input.ToString());
   }
   if (stride <= 0) return Status::InvalidArgument("stride must be positive");
-  DL2SQL_ASSIGN_OR_RETURN(Tensor padded, PadChw(input, pad));
-  const int64_t c = padded.shape()[0];
-  const int64_t h = padded.shape()[1];
-  const int64_t w = padded.shape()[2];
-  if (kh > h || kw > w) {
+  if (pad < 0) return Status::InvalidArgument("negative padding ", pad);
+  Im2ColGeometry g;
+  g.c = input[0];
+  g.h = input[1];
+  g.w = input[2];
+  g.kh = kh;
+  g.kw = kw;
+  g.stride = stride;
+  g.pad = pad;
+  if (kh > g.h + 2 * pad || kw > g.w + 2 * pad) {
     return Status::InvalidArgument("kernel ", kh, "x", kw,
-                                   " larger than padded input ", h, "x", w);
+                                   " larger than padded input ", g.h + 2 * pad,
+                                   "x", g.w + 2 * pad);
   }
-  const int64_t out_h = (h - kh) / stride + 1;
-  const int64_t out_w = (w - kw) / stride + 1;
-  Tensor out(Shape({c * kh * kw, out_h * out_w}));
-  float* po = out.data();
-  const int64_t cols = out_h * out_w;
-  for (int64_t ci = 0; ci < c; ++ci) {
-    for (int64_t ki = 0; ki < kh; ++ki) {
-      for (int64_t kj = 0; kj < kw; ++kj) {
-        const int64_t row = (ci * kh + ki) * kw + kj;
-        float* orow = po + row * cols;
-        for (int64_t oy = 0; oy < out_h; ++oy) {
-          const float* src =
-              padded.data() + (ci * h + oy * stride + ki) * w + kj;
-          for (int64_t ox = 0; ox < out_w; ++ox) {
-            orow[oy * out_w + ox] = src[ox * stride];
+  g.out_h = (g.h + 2 * pad - kh) / stride + 1;
+  g.out_w = (g.w + 2 * pad - kw) / stride + 1;
+  return g;
+}
+
+namespace {
+
+/// Smallest x >= 0 with x * stride >= num (num may be negative).
+int64_t CeilDivNonNeg(int64_t num, int64_t stride) {
+  return num <= 0 ? 0 : (num + stride - 1) / stride;
+}
+
+}  // namespace
+
+void Im2ColInto(const float* input, const Im2ColGeometry& g, float* out) {
+  const int64_t cols = g.cols();
+  for (int64_t ci = 0; ci < g.c; ++ci) {
+    for (int64_t ki = 0; ki < g.kh; ++ki) {
+      for (int64_t kj = 0; kj < g.kw; ++kj) {
+        float* orow = out + ((ci * g.kh + ki) * g.kw + kj) * cols;
+        // Output columns [ox_lo, ox_hi) read input column
+        // ox * stride + kj - pad inside [0, w); the rest are padding.
+        const int64_t ox_lo = std::min(CeilDivNonNeg(g.pad - kj, g.stride),
+                                       g.out_w);
+        const int64_t ox_hi = std::clamp(
+            CeilDivNonNeg(g.w + g.pad - kj, g.stride), ox_lo, g.out_w);
+        for (int64_t oy = 0; oy < g.out_h; ++oy) {
+          float* dst = orow + oy * g.out_w;
+          const int64_t iy = oy * g.stride + ki - g.pad;
+          if (iy < 0 || iy >= g.h) {
+            std::fill(dst, dst + g.out_w, 0.f);
+            continue;
           }
+          const float* src = input + (ci * g.h + iy) * g.w;
+          const int64_t shift = kj - g.pad;
+          std::fill(dst, dst + ox_lo, 0.f);
+          for (int64_t ox = ox_lo; ox < ox_hi; ++ox) {
+            dst[ox] = src[ox * g.stride + shift];
+          }
+          std::fill(dst + ox_hi, dst + g.out_w, 0.f);
         }
       }
     }
   }
+}
+
+Result<Tensor> Im2Col(const Tensor& input, int64_t kh, int64_t kw, int64_t stride,
+                      int64_t pad) {
+  DL2SQL_ASSIGN_OR_RETURN(Im2ColGeometry g,
+                          MakeIm2ColGeometry(input.shape(), kh, kw, stride, pad));
+  Tensor out(Shape({g.rows(), g.cols()}));
+  Im2ColInto(input.data(), g, out.data());
   return out;
 }
 

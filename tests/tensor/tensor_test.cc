@@ -169,10 +169,46 @@ INSTANTIATE_TEST_SUITE_P(
                       Im2ColCase{3, 6, 3, 1, 1}, Im2ColCase{2, 7, 5, 2, 2},
                       Im2ColCase{4, 4, 1, 1, 0}, Im2ColCase{2, 8, 3, 3, 1}));
 
+TEST(TensorOpsTest, Im2ColGathersFromZeroPaddedInput) {
+  // Every patch-matrix entry is a copy of the explicitly zero-padded input,
+  // for non-square inputs and kernels, every pad 0..3 and strides 1..3.
+  Rng rng(4);
+  Tensor in = Tensor::Random(Shape({2, 5, 7}), &rng, 1.0f);
+  for (int64_t pad = 0; pad <= 3; ++pad) {
+    auto padded = PadChw(in, pad);
+    ASSERT_TRUE(padded.ok());
+    for (int64_t stride = 1; stride <= 3; ++stride) {
+      for (const auto& [kh, kw] : {std::pair<int64_t, int64_t>{1, 1},
+                                   {3, 2}, {2, 5}, {5, 5}}) {
+        auto cols = Im2Col(in, kh, kw, stride, pad);
+        ASSERT_TRUE(cols.ok()) << cols.status().ToString();
+        const int64_t out_h = (5 + 2 * pad - kh) / stride + 1;
+        const int64_t out_w = (7 + 2 * pad - kw) / stride + 1;
+        ASSERT_EQ(cols->shape(), Shape({2 * kh * kw, out_h * out_w}));
+        for (int64_t c = 0; c < 2; ++c) {
+          for (int64_t ki = 0; ki < kh; ++ki) {
+            for (int64_t kj = 0; kj < kw; ++kj) {
+              for (int64_t oy = 0; oy < out_h; ++oy) {
+                for (int64_t ox = 0; ox < out_w; ++ox) {
+                  ASSERT_EQ(cols->at2((c * kh + ki) * kw + kj, oy * out_w + ox),
+                            padded->at3(c, oy * stride + ki, ox * stride + kj))
+                      << "pad=" << pad << " stride=" << stride << " k=" << kh
+                      << "x" << kw;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(TensorOpsTest, Im2ColErrors) {
   Tensor in(Shape({1, 3, 3}));
   EXPECT_FALSE(Im2Col(in, 5, 5, 1, 0).ok());   // kernel larger than input
   EXPECT_FALSE(Im2Col(in, 2, 2, 0, 0).ok());   // bad stride
+  EXPECT_FALSE(Im2Col(in, 2, 2, 1, -1).ok());  // negative padding
   EXPECT_FALSE(Im2Col(Tensor(Shape({3, 3})), 2, 2, 1, 0).ok());  // not CHW
 }
 
