@@ -72,10 +72,11 @@ pass_tsan_pinned() {
   # resource-accounting, and out-of-core tests (buffer-pool frames are
   # pinned and evicted from concurrent query threads), and the native NN
   # kernels (per-thread im2col scratch read by pool workers while several
-  # threads run forwards on one model) cannot silently drop out of coverage
-  # if the suite layout changes.
+  # threads run forwards on one model), and the hash table (join probes from
+  # pool workers) cannot silently drop out of coverage if the suite layout
+  # changes.
   ctest --test-dir build-ci-tsan --output-on-failure \
-    -R "trace|metrics|counters|cache|server|vector|profile|mem_tracker|storage|spill|buffer_pool|cluster|accel|nn_compute"
+    -R "trace|metrics|counters|cache|server|vector|profile|mem_tracker|storage|spill|buffer_pool|cluster|accel|nn_compute|key_table"
 }
 
 pass_asan_build() {

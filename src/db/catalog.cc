@@ -194,20 +194,24 @@ Status Catalog::CreateIndex(const std::string& table,
     return Status::NotFound("table '", table, "' does not exist");
   }
   DL2SQL_ASSIGN_OR_RETURN(int col, it->second.table->schema().Find(column));
-  std::shared_ptr<HashIndex> index;
-  if (it->second.table->is_paged()) {
-    DL2SQL_ASSIGN_OR_RETURN(Table resident, it->second.table->Materialize());
-    DL2SQL_ASSIGN_OR_RETURN(index, HashIndex::Build(resident, col));
-  } else {
-    DL2SQL_ASSIGN_OR_RETURN(index, HashIndex::Build(*it->second.table, col));
+  DL2SQL_ASSIGN_OR_RETURN(Table resident, it->second.table->Materialize());
+  const Column& keys = resident.column(col);
+  if (keys.type() != DataType::kInt64) {
+    return Status::InvalidArgument("hash indexes support INT64 columns, got ",
+                                   DataTypeToString(keys.type()),
+                                   " for column ", column);
   }
+  EvalContext ctx;
+  DL2SQL_ASSIGN_OR_RETURN(
+      std::shared_ptr<const HashIndex> index,
+      HashIndex::Build({std::make_shared<const Column>(keys)}, &ctx));
   it->second.indexes[ToLower(column)] = std::move(index);
   BumpVersion(it->first);
   return Status::OK();
 }
 
-std::shared_ptr<HashIndex> Catalog::GetIndex(const std::string& table,
-                                             const std::string& column) const {
+std::shared_ptr<const HashIndex> Catalog::GetIndex(
+    const std::string& table, const std::string& column) const {
   std::shared_lock lock(mu_);
   auto it = tables_.find(Key(table));
   if (it == tables_.end()) return nullptr;

@@ -66,8 +66,8 @@ class Catalog {
   Status CreateIndex(const std::string& table, const std::string& column);
 
   /// Cached index, or nullptr if absent/invalidated.
-  std::shared_ptr<HashIndex> GetIndex(const std::string& table,
-                                      const std::string& column) const;
+  std::shared_ptr<const HashIndex> GetIndex(const std::string& table,
+                                            const std::string& column) const;
 
   std::vector<std::string> TableNames() const;
   std::vector<std::string> ViewNames() const;
@@ -133,7 +133,7 @@ class Catalog {
     bool temporary = false;
     std::optional<TableStats> stats;
     /// Hash indexes keyed by lower-cased column name.
-    std::map<std::string, std::shared_ptr<HashIndex>> indexes;
+    std::map<std::string, std::shared_ptr<const HashIndex>> indexes;
     /// Bytes currently charged against mem_ for this table.
     int64_t tracked_bytes = 0;
   };

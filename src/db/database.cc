@@ -9,7 +9,6 @@
 #include <map>
 #include <numeric>
 #include <queue>
-#include <unordered_map>
 
 #include <cstdlib>
 
@@ -109,6 +108,10 @@ IntrospectionOptions DefaultIntrospectionOptions() {
 
 /// Hard guard against runaway cross products.
 constexpr int64_t kMaxJoinPairs = 100'000'000;
+
+/// Rows per output slice of the joins and the external aggregation that
+/// emit in bounded slices.
+constexpr int64_t kEmitRows = 16384;
 
 /// Upper bound on the partitions one external aggregation spills into.
 constexpr int64_t kMaxSpillPartitions = 1024;
@@ -446,7 +449,7 @@ Result<Table> Database::ExecuteStatementRecorded(const Statement& stmt,
   if (threshold_ms > 0 && duration_ms >= threshold_ms) {
     std::string plan_text;
     if (rec.kind == QueryKind::kSelect) {
-      if (PlanPtr plan = last_plan()) {
+      if (const PlanPtr& plan = tally.plan) {
         plan_text = plan->ToString();
         if (!plan_text.empty() && plan_text.back() == '\n') {
           plan_text.pop_back();
@@ -1181,11 +1184,13 @@ Result<Table> Database::ExecJoin(const PlanNode& node, Table left, Table right) 
   }
   Stopwatch watch;
   EvalContext ctx = MakeEvalContext();
-  // The pair buffer is charged against op.join while live. Estimates, not
-  // malloc-exact: the accounting answers "which operator holds the memory".
+  // The symmetric hash join's pair buffer and one output slice's row ids are
+  // charged against op.join while live. Estimates, not malloc-exact: the
+  // accounting answers "which operator holds the memory".
   ScopedMemCharge scratch_mem(OpScratchTracker(PlanKind::kJoin));
   std::vector<std::pair<int64_t, int64_t>> pairs;
-  if (!node.equi_keys.empty()) {
+  const bool symmetric = !node.equi_keys.empty();
+  if (symmetric) {
     SymmetricHashJoinStats shj_stats;
     DL2SQL_ASSIGN_OR_RETURN(
         pairs, SymmetricHashJoinPairs(left, right, *node.equi_keys[0].first,
@@ -1199,29 +1204,39 @@ Result<Table> Database::ExecJoin(const PlanNode& node, Table left, Table right) 
     static Counter* const symmetric_counter =
         MetricsRegistry::Global().counter("db.symmetric_joins");
     symmetric_counter->Increment();
-  } else {
-    // Cross product (with optional residual condition applied below).
-    const int64_t total = left.num_rows() * right.num_rows();
-    if (total > kMaxJoinPairs) {
-      return Status::ResourceExhausted("cross join of ", left.num_rows(), " x ",
-                                       right.num_rows(), " rows is too large");
-    }
-    pairs.reserve(static_cast<size_t>(total));
-    for (int64_t l = 0; l < left.num_rows(); ++l) {
-      for (int64_t r = 0; r < right.num_rows(); ++r) pairs.emplace_back(l, r);
-    }
+    DL2SQL_RETURN_NOT_OK(scratch_mem.Charge(
+        static_cast<int64_t>(pairs.size() * sizeof(pairs[0]))));
+  } else if (left.num_rows() * right.num_rows() > kMaxJoinPairs) {
+    return Status::ResourceExhausted("cross join of ", left.num_rows(), " x ",
+                                     right.num_rows(), " rows is too large");
   }
-  DL2SQL_RETURN_NOT_OK(scratch_mem.Charge(
-      static_cast<int64_t>(pairs.size() * sizeof(pairs[0]) * 2)));
+  // Pairs are gathered left-major in slices, each filtered by the residual
+  // condition before the next (it is row-local, so slice-local filtering
+  // equals whole-table filtering): a cross product never materializes its
+  // unfiltered pairs.
+  const int64_t total = symmetric
+                            ? static_cast<int64_t>(pairs.size())
+                            : left.num_rows() * right.num_rows();
+  DL2SQL_RETURN_NOT_OK(scratch_mem.Charge(static_cast<int64_t>(
+      2 * std::min(total, kEmitRows) * sizeof(int64_t))));
+  const int64_t rn = right.num_rows();
+  Table joined(node.output_schema);
   std::vector<int64_t> lrows, rrows;
-  lrows.reserve(pairs.size());
-  rrows.reserve(pairs.size());
-  for (const auto& [l, r] : pairs) {
-    lrows.push_back(l);
-    rrows.push_back(r);
+  for (int64_t start = 0; start < total; start += kEmitRows) {
+    lrows.clear();
+    rrows.clear();
+    for (int64_t i = start; i < std::min(total, start + kEmitRows); ++i) {
+      lrows.push_back(symmetric ? pairs[static_cast<size_t>(i)].first : i / rn);
+      rrows.push_back(symmetric ? pairs[static_cast<size_t>(i)].second
+                                : i % rn);
+    }
+    DL2SQL_ASSIGN_OR_RETURN(
+        Table piece, GatherJoinRows(node, left, right, lrows, rrows, &ctx));
+    for (int c = 0; c < joined.num_columns(); ++c) {
+      joined.mutable_column(c).AppendRange(piece.column(c), 0,
+                                           piece.num_rows());
+    }
   }
-  DL2SQL_ASSIGN_OR_RETURN(
-      Table joined, GatherJoinRows(node, left, right, lrows, rrows, &ctx));
   const double inf = DrainEvalContext(ctx);
   ChargeOperator(costs_, "join", watch.ElapsedSeconds(), inf);
   return joined;
@@ -1255,7 +1270,7 @@ Result<Table> Database::ExecHashJoin(const PlanNode& node, Table left,
   // Reuse a prebuilt base-table hash index when the build side is an
   // unfiltered scan keyed on a plain column (the shape of the generated
   // neural-operator joins: static kernel/mapping tables on the build side).
-  std::shared_ptr<HashIndex> index;
+  std::shared_ptr<const HashIndex> index;
   const PlanNode& build_plan = *node.children[build_left ? 0 : 1];
   const Expr& build_key_expr =
       build_left ? *node.equi_keys[0].first : *node.equi_keys[0].second;
@@ -1269,7 +1284,7 @@ Result<Table> Database::ExecHashJoin(const PlanNode& node, Table left,
     const std::string base =
         dot == std::string::npos ? qualified : qualified.substr(dot + 1);
     index = catalog_.GetIndex(build_plan.table_name, base);
-    if (index != nullptr && index->indexed_rows() != build.num_rows()) {
+    if (index != nullptr && index->build_rows() != build.num_rows()) {
       index = nullptr;  // stale snapshot guard
     }
   }
@@ -1285,7 +1300,7 @@ Result<Table> Database::ExecHashJoin(const PlanNode& node, Table left,
     writer = std::make_unique<PagedResultWriter>(
         probe.paged()->shared_engine(), node.output_schema);
   }
-  std::unique_ptr<HashJoinTable> table;
+  std::shared_ptr<const HashJoinTable> table;
   Table out;
   int64_t total_pairs = 0;
   for (int64_t w = 0; w < source->num_windows(); ++w) {
@@ -1300,8 +1315,10 @@ Result<Table> Database::ExecHashJoin(const PlanNode& node, Table left,
       std::vector<DataType> probe_types;
       for (const auto& c : probe_keys) probe_types.push_back(c->type());
       DL2SQL_ASSIGN_OR_RETURN(
-          table, HashJoinTable::Build(build_keys, probe_types, index, &ctx));
-      const Status charged = build_mem.Charge(table->bytes());
+          table, HashJoinTable::ForJoin(build_keys, probe_types, index, &ctx));
+      // A prebuilt index is already resident: nothing to charge.
+      const Status charged =
+          build_mem.Charge(table == index ? 0 : table->bytes());
       if (!charged.ok()) {
         // The build side fit by its input bytes but its hash table does
         // not. Nothing has been emitted yet, so a join over paged data can
@@ -1312,7 +1329,7 @@ Result<Table> Database::ExecHashJoin(const PlanNode& node, Table left,
         DrainEvalContext(ctx);
         return ExecJoinGrace(node, std::move(left), std::move(right));
       }
-      if (table->uses_index()) {
+      if (table == index) {
         ++index_joins_;
         static Counter* const index_counter =
             MetricsRegistry::Global().counter("db.index_joins");
@@ -1405,8 +1422,7 @@ Result<Table> Database::ExecJoinGrace(const PlanNode& node, Table left,
       const std::vector<const Column*> kptrs = ColumnPtrs(keys);
       for (int64_t r = 0; r < window.num_rows(); ++r) {
         if (RowKeyHasNull(kptrs, r)) continue;
-        std::string key;
-        for (const Column* c : kptrs) AppendKeyPart(*c, r, &key);
+        const std::string key = EncodeRowKey(kptrs, r);
         const int64_t p = static_cast<int64_t>(
             Hash64(key.data(), key.size()) % static_cast<uint64_t>(num_parts));
         DL2SQL_RETURN_NOT_OK(builders[static_cast<size_t>(p)]->AppendRow(
@@ -1432,9 +1448,10 @@ Result<Table> Database::ExecJoinGrace(const PlanNode& node, Table left,
       MetricsRegistry::Global().counter("db.grace_joins");
   grace_counter->Increment();
 
-  // Phase 2: per partition, build a hash table on the optimizer's build side
-  // and probe with the other. Only one partition's build map is resident at
-  // a time; its bytes are charged on a per-iteration scope.
+  // Phase 2: per partition, build the join's key table over the build
+  // side's spilled key column and probe it with the other side's, chunk by
+  // chunk. Only one partition's table is resident at a time; its bytes (and
+  // its key column's) are charged on a per-iteration scope.
   const bool build_left = node.join_build_left;
   const auto& bparts = build_left ? lparts : rparts;
   const auto& pparts = build_left ? rparts : lparts;
@@ -1446,49 +1463,37 @@ Result<Table> Database::ExecJoinGrace(const PlanNode& node, Table left,
     if (bp->num_rows() == 0 || pp->num_rows() == 0) continue;
     ScopedMemCharge part_mem(OpScratchTracker(PlanKind::kJoin));
     DL2SQL_ASSIGN_OR_RETURN(std::vector<Column> bcols, bp->Materialize());
-    const auto& brows = bcols[0].ints();
-    const auto& bkeys = bcols[1].strings();
-    std::unordered_map<std::string, std::vector<int64_t>> build;
-    build.reserve(brows.size());
-    int64_t key_bytes = 0;
-    for (size_t i = 0; i < brows.size(); ++i) {
-      build[bkeys[i]].push_back(brows[i]);
-      key_bytes += static_cast<int64_t>(bkeys[i].size() + 8);
-    }
+    const std::vector<int64_t>& brows = bcols[0].ints();
+    const auto bkey = std::make_shared<const Column>(std::move(bcols[1]));
+    DL2SQL_ASSIGN_OR_RETURN(std::shared_ptr<const HashJoinTable> build,
+                            HashJoinTable::Build({bkey}, &ctx));
     DL2SQL_RETURN_NOT_OK(part_mem.Charge(
-        key_bytes +
-        static_cast<int64_t>(build.size() * (sizeof(std::string) +
-                                             sizeof(std::vector<int64_t>) +
-                                             16))));
+        build->bytes() + static_cast<int64_t>(bkey->ByteSize())));
     for (int64_t c = 0; c < pp->num_chunks(); ++c) {
       DL2SQL_ASSIGN_OR_RETURN(std::vector<Column> pcols, pp->ReadChunk(c));
+      HashJoinTable::Pairs pairs;
+      DL2SQL_RETURN_NOT_OK(build->Probe(
+          {std::make_shared<const Column>(std::move(pcols[1]))}, &ctx,
+          kMaxJoinPairs - static_cast<int64_t>(pb_pairs.size()), &pairs));
       const auto& prow_ids = pcols[0].ints();
-      const auto& pkeys = pcols[1].strings();
-      for (size_t i = 0; i < prow_ids.size(); ++i) {
-        auto it = build.find(pkeys[i]);
-        if (it == build.end()) continue;
-        for (int64_t b : it->second) pb_pairs.emplace_back(prow_ids[i], b);
-        if (static_cast<int64_t>(pb_pairs.size()) > kMaxJoinPairs) {
-          return Status::ResourceExhausted("join produced more than ",
-                                           kMaxJoinPairs, " pairs");
-        }
+      for (const auto& [p, b] : pairs) {
+        pb_pairs.emplace_back(prow_ids[static_cast<size_t>(p)],
+                              brows[static_cast<size_t>(b)]);
       }
     }
   }
   DL2SQL_RETURN_NOT_OK(scratch_mem.Charge(static_cast<int64_t>(
       pb_pairs.size() * sizeof(std::pair<int64_t, int64_t>))));
   // Hash partitioning scattered the pairs; the in-memory join emits them
-  // probe-ascending, then build-ascending within a probe row (insertion
-  // order of the build map's row lists). Both spill files were written in
-  // row order, so a global sort on (probe, build) restores exactly that
-  // order — the bit-identity contract for join output.
+  // probe-ascending, then build-ascending within a probe row. Both spill
+  // files were written in row order, so a global sort on (probe, build)
+  // restores exactly that order — the bit-identity contract for join output.
   std::sort(pb_pairs.begin(), pb_pairs.end());
 
   // Phase 3: emit in bounded slices through paged output, applying the
   // residual condition per slice (it is row-local, so slice-local filtering
   // equals whole-table filtering).
   PagedResultWriter writer(engine, node.output_schema);
-  constexpr int64_t kEmitRows = 16384;
   for (size_t start = 0; start < pb_pairs.size();
        start += static_cast<size_t>(kEmitRows)) {
     const size_t end =
@@ -1767,7 +1772,6 @@ Result<Table> Database::ExecAggregateExternal(const PlanNode& node,
     return batch;
   };
   PagedResultWriter writer(engine, out_schema);
-  constexpr int64_t kEmitRows = 16384;
   std::vector<Column> batch = empty_batch();
   int64_t batch_rows = 0;
   auto flush = [&]() -> Status {

@@ -317,6 +317,8 @@ class Database {
     int64_t neural_calls = 0;
     int64_t nudf_cache_hits = 0;
     bool plan_cache_hit = false;
+    /// The statement's own plan (the slow-query WARN's; see SetLastPlan).
+    PlanPtr plan;
     int64_t operator_rows = 0;
     int64_t peak_operator_bytes = 0;
     /// Vectorized batches processed across all operators of the statement.
@@ -418,7 +420,12 @@ class Database {
   /// registry version.
   uint64_t PlanCacheKey(const SelectStmt& stmt) const;
 
+  /// Records the database-wide last plan, which nested and concurrent
+  /// statements overwrite, and the running statement's first (outermost).
   void SetLastPlan(PlanPtr plan) {
+    if (QueryTally* tally = tls_tally_; tally != nullptr && !tally->plan) {
+      tally->plan = plan;
+    }
     std::lock_guard<std::mutex> lock(last_run_mu_);
     last_plan_ = std::move(plan);
   }

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <unordered_map>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "accel/thread_pool.h"
-#include "db/exec/row_key.h"
+#include "db/exec/key_table.h"
 #include "db/exec/vector_batch.h"
 #include "db/exec/vector_kernels.h"
 
@@ -254,151 +254,76 @@ struct GroupSet {
   }
 };
 
-/// Maps group keys to gids for one key shape. The typed int maps serve
-/// NULL-free one- and two-int64 keys; the hashed index (canonical hash ->
-/// gids, verified against the stored keys) serves everything.
+/// Maps group keys to gids: one KeyTable, or the single group of a global
+/// aggregate (no keys). The table verifies candidates against the group
+/// set's stored keys; the keys of groups first seen in the current morsel
+/// are still window rows (`new_rows_`) and join the group set in one gather
+/// at the end of the morsel.
 class Grouper {
  public:
-  enum class Kind : uint8_t { kGlobal, kInt1, kInt2, kHashed };
-
-  static Kind KindFor(const std::vector<const Column*>& cols) {
-    auto int_keys = [&](size_t count) {
-      if (cols.size() != count) return false;
-      for (const Column* k : cols) {
-        if (k->type() != DataType::kInt64 || k->HasNulls()) return false;
-      }
-      return true;
-    };
-    if (cols.empty()) return Kind::kGlobal;
-    if (int_keys(1)) return Kind::kInt1;
-    if (int_keys(2)) return Kind::kInt2;
-    return Kind::kHashed;
-  }
-
-  explicit Grouper(Kind kind) : kind_(kind) {}
-
-  /// True if rows of `cols` can be looked up in this grouper's index.
-  bool Accepts(const std::vector<const Column*>& cols) const {
-    return kind_ == Kind::kHashed || KindFor(cols) == kind_;
-  }
+  explicit Grouper(bool global) : global_(global) {}
 
   /// Assigns the gid of every row of [bgn, end) of `cols`, adding new
-  /// groups (first row `ids[row]`) to `gs`.
+  /// groups (first row `ids[row]`) to `gs`. `null_free` promises that
+  /// neither `cols` nor the stored keys hold a NULL.
   void AssignGids(const std::vector<const Column*>& cols, int64_t bgn,
-                  int64_t end, HashAggregator::RowIds ids, SelIndex* gids,
-                  GroupSet* gs) {
+                  int64_t end, HashAggregator::RowIds ids, bool null_free,
+                  SelIndex* gids, GroupSet* gs) {
     const SelIndex rows = static_cast<SelIndex>(end - bgn);
-    switch (kind_) {
-      case Kind::kGlobal:
-        if (gs->size() == 0 && rows > 0) gs->Add(cols, bgn, ids[bgn]);
-        std::fill(gids, gids + rows, 0);
-        return;
-      // The typed maps never read stored keys, so a morsel's new groups
-      // take their keys in one gather at the end.
-      case Kind::kInt1: {
-        const int64_t* k0 = cols[0]->ints().data();
-        new_rows_.clear();
-        for (SelIndex i = 0; i < rows; ++i) {
-          const int64_t row = bgn + i;
-          auto [it, inserted] = int1_.try_emplace(
-              k0[row], static_cast<SelIndex>(gs->size() + new_rows_.size()));
-          if (inserted) new_rows_.push_back(row);
-          gids[i] = it->second;
-        }
-        gs->AddAll(cols, new_rows_, ids);
-        return;
-      }
-      case Kind::kInt2: {
-        const int64_t* k0 = cols[0]->ints().data();
-        const int64_t* k1 = cols[1]->ints().data();
-        new_rows_.clear();
-        for (SelIndex i = 0; i < rows; ++i) {
-          const int64_t row = bgn + i;
-          auto [it, inserted] = int2_.try_emplace(
-              Int2Key{k0[row], k1[row]},
-              static_cast<SelIndex>(gs->size() + new_rows_.size()));
-          if (inserted) new_rows_.push_back(row);
-          gids[i] = it->second;
-        }
-        gs->AddAll(cols, new_rows_, ids);
-        return;
-      }
-      case Kind::kHashed: {
-        hash_buf_.resize(static_cast<size_t>(rows));
-        vec::HashKeyRange(cols, bgn, end, hash_buf_.data());
-        const std::vector<const Column*> gkeys = gs->KeyPtrs();
-        for (SelIndex i = 0; i < rows; ++i) {
-          gids[i] = FindOrInsertHashed(cols, bgn + i, ids[bgn + i],
-                                       hash_buf_[static_cast<size_t>(i)],
-                                       gkeys, gs);
-        }
-        return;
-      }
+    if (global_) {
+      if (gs->size() == 0 && rows > 0) gs->Add(cols, bgn, ids[bgn]);
+      std::fill(gids, gids + rows, 0);
+      return;
     }
+    hash_buf_.resize(static_cast<size_t>(rows));
+    vec::HashKeyRange(cols, bgn, end, hash_buf_.data());
+    const std::vector<const Column*> stored_keys = gs->KeyPtrs();
+    const KeyEq stored(cols, stored_keys, null_free);
+    const KeyEq fresh(cols, cols, null_free);
+    const uint32_t committed = static_cast<uint32_t>(gs->size());
+    new_rows_.clear();
+    for (SelIndex i = 0; i < rows; ++i) {
+      const int64_t row = bgn + i;
+      bool inserted = false;
+      gids[i] = static_cast<SelIndex>(table_.FindOrInsert(
+          hash_buf_[static_cast<size_t>(i)],
+          [&](uint32_t g) {
+            return g < committed ? stored(row, g)
+                                 : fresh(row, new_rows_[g - committed]);
+          },
+          &inserted));
+      if (inserted) new_rows_.push_back(row);
+    }
+    gs->AddAll(cols, new_rows_, ids);
   }
 
-  /// Merge-time lookup of the group keyed like row `idx` of `cols` (another
-  /// group set's keys), added with first row `first` when new.
-  SelIndex FindOrInsert(const std::vector<const Column*>& cols, int64_t idx,
-                        int64_t first, GroupSet* gs) {
-    switch (kind_) {
-      case Kind::kGlobal:
-        if (gs->size() == 0) gs->Add(cols, idx, first);
-        return 0;
-      case Kind::kInt1: {
-        auto [it, inserted] = int1_.try_emplace(
-            cols[0]->ints()[static_cast<size_t>(idx)],
-            static_cast<SelIndex>(gs->size()));
-        if (inserted) gs->Add(cols, idx, first);
-        return it->second;
-      }
-      case Kind::kInt2: {
-        const size_t i = static_cast<size_t>(idx);
-        auto [it, inserted] =
-            int2_.try_emplace(Int2Key{cols[0]->ints()[i], cols[1]->ints()[i]},
-                              static_cast<SelIndex>(gs->size()));
-        if (inserted) gs->Add(cols, idx, first);
-        return it->second;
-      }
-      case Kind::kHashed:
-        return FindOrInsertHashed(cols, idx, first, vec::HashKeyRow(cols, idx),
-                                  gs->KeyPtrs(), gs);
+  /// Merge-time lookup of group `g` of a worker's group set (keys
+  /// `from_keys`, grouped by `from`), added to `gs` with first row `first`
+  /// when new.
+  SelIndex Merge(const Grouper& from,
+                 const std::vector<const Column*>& from_keys, int64_t g,
+                 int64_t first, GroupSet* gs) {
+    if (global_) {
+      if (gs->size() == 0) gs->Add(from_keys, g, first);
+      return 0;
     }
-    return 0;
-  }
-
-  /// Switches to the hashed index over every group of `gs` (a later window's
-  /// keys no longer fit the typed int maps, e.g. a NULL key appeared).
-  void Rehash(const GroupSet& gs) {
-    kind_ = Kind::kHashed;
-    int1_.clear();
-    int2_.clear();
-    const std::vector<const Column*> gkeys = gs.KeyPtrs();
-    for (size_t g = 0; g < gs.size(); ++g) {
-      hashed_[vec::HashKeyRow(gkeys, static_cast<int64_t>(g))].push_back(
-          static_cast<SelIndex>(g));
-    }
-  }
-
- private:
-  SelIndex FindOrInsertHashed(const std::vector<const Column*>& cols,
-                              int64_t idx, int64_t first, uint64_t hash,
-                              const std::vector<const Column*>& gkeys,
-                              GroupSet* gs) {
-    std::vector<SelIndex>& bucket = hashed_[hash];
-    for (SelIndex gid : bucket) {
-      if (vec::CanonicalKeyRowsEqual(cols, idx, gkeys, gid)) return gid;
-    }
-    const SelIndex gid = static_cast<SelIndex>(gs->size());
-    bucket.push_back(gid);
-    gs->Add(cols, idx, first);
+    const std::vector<const Column*> keys = gs->KeyPtrs();
+    bool inserted = false;
+    const SelIndex gid = static_cast<SelIndex>(table_.FindOrInsert(
+        from.table_.hash(static_cast<uint32_t>(g)),
+        [&](uint32_t k) {
+          return vec::CanonicalKeyRowsEqual(from_keys, g, keys, k);
+        },
+        &inserted));
+    if (inserted) gs->Add(from_keys, g, first);
     return gid;
   }
 
-  Kind kind_;
-  std::unordered_map<int64_t, SelIndex> int1_;
-  std::unordered_map<Int2Key, SelIndex, Int2KeyHash> int2_;
-  std::unordered_map<uint64_t, std::vector<SelIndex>> hashed_;
+  int64_t bytes() const { return global_ ? 0 : table_.bytes(); }
+
+ private:
+  bool global_;
+  KeyTable table_;
   std::vector<uint64_t> hash_buf_;
   std::vector<int64_t> new_rows_;
 };
@@ -463,6 +388,8 @@ struct HashAggregator::State {
   /// Created by the first window, which fixes the key types.
   std::unique_ptr<GroupSet> groups;
   std::unique_ptr<Grouper> grouper;
+  /// No window so far held a NULL group key.
+  bool keys_null_free = true;
   std::vector<SelIndex> gids;
 
   State(const PlanNode& n, bool vec) : node(n), vectorized(vec) {
@@ -491,7 +418,7 @@ Status HashAggregator::Consume(const std::vector<ColumnHandle>& key_cols,
       if (args[a] != nullptr) s.arg_types[a] = args[a]->type();
     }
     s.groups = std::make_unique<GroupSet>(s.key_types, num_aggs);
-    s.grouper = std::make_unique<Grouper>(Grouper::KindFor(kptrs));
+    s.grouper = std::make_unique<Grouper>(kptrs.empty());
   } else {
     for (size_t k = 0; k < kptrs.size(); ++k) {
       if (kptrs[k]->type() != s.key_types[k]) {
@@ -499,7 +426,9 @@ Status HashAggregator::Consume(const std::vector<ColumnHandle>& key_cols,
                                      " changed type between input windows");
       }
     }
-    if (!s.grouper->Accepts(kptrs)) s.grouper->Rehash(*s.groups);
+  }
+  for (const Column* k : kptrs) {
+    s.keys_null_free = s.keys_null_free && !k->HasNulls();
   }
   GroupSet& groups = *s.groups;
   for (size_t a = 0; a < num_aggs; ++a) {
@@ -529,7 +458,8 @@ Status HashAggregator::Consume(const std::vector<ColumnHandle>& key_cols,
   if (!parallel) {
     auto body = [&](int64_t bgn, int64_t end, int) -> Status {
       s.gids.resize(static_cast<size_t>(end - bgn));
-      s.grouper->AssignGids(kptrs, bgn, end, row_ids, s.gids.data(), &groups);
+      s.grouper->AssignGids(kptrs, bgn, end, row_ids, s.keys_null_free,
+                            s.gids.data(), &groups);
       groups.SyncStates(s.kinds);
       return AccumulateMorsel(s.funcs, s.kinds, args, bgn,
                               static_cast<SelIndex>(end - bgn), s.gids.data(),
@@ -552,7 +482,7 @@ Status HashAggregator::Consume(const std::vector<ColumnHandle>& key_cols,
     std::vector<Grouper> wgroupers;
     for (int w = 0; w < workers; ++w) {
       wsets.push_back(std::make_unique<GroupSet>(s.key_types, num_aggs));
-      wgroupers.emplace_back(Grouper::KindFor(kptrs));
+      wgroupers.emplace_back(kptrs.empty());
     }
     std::vector<std::vector<SelIndex>> wgids(static_cast<size_t>(workers));
     DL2SQL_RETURN_NOT_OK(ctx->pool->ParallelForMorsel(
@@ -560,9 +490,8 @@ Status HashAggregator::Consume(const std::vector<ColumnHandle>& key_cols,
           GroupSet& gs = *wsets[static_cast<size_t>(w)];
           std::vector<SelIndex>& gids = wgids[static_cast<size_t>(w)];
           gids.resize(static_cast<size_t>(end - bgn));
-          wgroupers[static_cast<size_t>(w)].AssignGids(kptrs, bgn, end,
-                                                       row_ids, gids.data(),
-                                                       &gs);
+          wgroupers[static_cast<size_t>(w)].AssignGids(
+              kptrs, bgn, end, row_ids, s.keys_null_free, gids.data(), &gs);
           gs.SyncStates(s.kinds);
           return AccumulateMorsel(s.funcs, s.kinds, args, bgn,
                                   static_cast<SelIndex>(end - bgn),
@@ -592,9 +521,9 @@ Status HashAggregator::Consume(const std::vector<ColumnHandle>& key_cols,
     for (const WorkerGroup& wg : order) {
       const GroupSet& ws = *wsets[wg.worker];
       const size_t before = groups.size();
-      const size_t dst = static_cast<size_t>(s.grouper->FindOrInsert(
-          wkeys[wg.worker], static_cast<int64_t>(wg.gid), wg.first_row,
-          &groups));
+      const size_t dst = static_cast<size_t>(s.grouper->Merge(
+          wgroupers[wg.worker], wkeys[wg.worker], static_cast<int64_t>(wg.gid),
+          wg.first_row, &groups));
       groups.SyncStates(s.kinds);
       const bool inserted = groups.size() > before;
       for (size_t a = 0; a < num_aggs; ++a) {
@@ -624,15 +553,20 @@ Status HashAggregator::Consume(const std::vector<ColumnHandle>& key_cols,
 int64_t HashAggregator::StateBytes() const {
   const State& s = *state_;
   if (s.groups == nullptr) return 0;
-  // Estimates, not malloc-exact: first row + index entry, 16 bytes per key
-  // value plus the payload of string and blob keys, and the per-aggregate
-  // state.
-  size_t per_group = sizeof(int64_t) + 16 + 16 * s.key_types.size();
+  // Estimates, not malloc-exact: the grouper's key table, and per group its
+  // first row, its key values (string and blob keys add their payload) and
+  // its per-aggregate state.
+  size_t per_group = sizeof(int64_t);
+  for (DataType t : s.key_types) {
+    per_group += t == DataType::kString || t == DataType::kBlob
+                     ? sizeof(std::string)
+                     : sizeof(int64_t);
+  }
   for (AccKind kind : s.kinds) {
     per_group += kind == AccKind::kBoxed ? sizeof(AggState) : sizeof(VAggState);
   }
   return static_cast<int64_t>(s.groups->size() * per_group) +
-         s.groups->key_payload_bytes;
+         s.groups->key_payload_bytes + s.grouper->bytes();
 }
 
 Result<Table> HashAggregator::Finish(std::vector<int64_t>* first_rows) {

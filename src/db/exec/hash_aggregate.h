@@ -8,9 +8,10 @@
 /// global row id, so a window need not stay resident once it is consumed;
 /// a resident table is the one-window case.
 ///
-/// Group assignment happens morsel-at-a-time: direct typed maps for the hot
-/// one- and two-int64 key shapes, batched canonical key hashing with exact
-/// canonical-key verification otherwise, producing a gid-per-row buffer.
+/// Group assignment happens morsel-at-a-time through one KeyTable
+/// (key_table.h): batched canonical key hashes, verified against the stored
+/// group keys (raw INT64 compares while no key has been NULL), producing a
+/// gid-per-row buffer; a global aggregate is the one-group case.
 /// Each aggregate then accumulates either through a typed batch kernel over
 /// a contiguous per-group state array (vectorized mode, numeric or no
 /// argument, no NULLs in the window) or through the boxed row accumulator

@@ -1,5 +1,7 @@
 /// \file row_key.h
-/// \brief Binary row-key encoding for hash joins and hash aggregation.
+/// \brief Binary row-key encoding: the canonical key bytes that the grace
+/// join spills, the symmetric hash join keys on, and the row-path join
+/// reference (DL2SQL_VECTOR=OFF) maps.
 #pragma once
 
 #include <cstddef>
@@ -76,23 +78,5 @@ inline bool RowKeyHasNull(const std::vector<const Column*>& cols, int64_t row) {
   }
   return false;
 }
-
-/// Composite key for the two-int64 fast paths (batched pipelines group and
-/// join on (BatchID, TupleID)-style pairs).
-struct Int2Key {
-  int64_t a;
-  int64_t b;
-  bool operator==(const Int2Key& o) const { return a == o.a && b == o.b; }
-};
-
-struct Int2KeyHash {
-  size_t operator()(const Int2Key& k) const {
-    // splitmix-style combine.
-    uint64_t x = static_cast<uint64_t>(k.a) * 0x9e3779b97f4a7c15ull;
-    x ^= static_cast<uint64_t>(k.b) + 0x9e3779b97f4a7c15ull + (x << 6) +
-         (x >> 2);
-    return static_cast<size_t>(x);
-  }
-};
 
 }  // namespace dl2sql::db

@@ -382,18 +382,6 @@ uint64_t HashKeyRow(const std::vector<const Column*>& cols, int64_t row) {
   return h;
 }
 
-void KeyNullRange(const std::vector<const Column*>& cols, int64_t begin,
-                  int64_t end, uint8_t* out) {
-  const int64_t n = end - begin;
-  std::memset(out, 0, static_cast<size_t>(n));
-  for (const Column* c : cols) {
-    if (!c->HasNulls() && c->type() != DataType::kNull) continue;
-    for (int64_t i = 0; i < n; ++i) {
-      if (!c->IsValid(begin + i) || c->type() == DataType::kNull) out[i] = 1;
-    }
-  }
-}
-
 bool CanonicalKeyRowsEqual(const std::vector<const Column*>& a, int64_t ra,
                            const std::vector<const Column*>& b, int64_t rb) {
   for (size_t c = 0; c < a.size(); ++c) {

@@ -97,11 +97,6 @@ void HashKeyRange(const std::vector<const Column*>& cols, int64_t begin,
 /// Single-row variant (parallel-merge bookkeeping; same function).
 uint64_t HashKeyRow(const std::vector<const Column*>& cols, int64_t row);
 
-/// out[i] = 1 iff any key column is NULL at row begin+i (NULL keys never
-/// join).
-void KeyNullRange(const std::vector<const Column*>& cols, int64_t begin,
-                  int64_t end, uint8_t* out);
-
 /// Exact canonical key equality across (possibly differently typed) column
 /// sets — equivalent to EncodeRowKey(a, ra) == EncodeRowKey(b, rb).
 bool CanonicalKeyRowsEqual(const std::vector<const Column*>& a, int64_t ra,

@@ -4,46 +4,19 @@
 /// Section IV-A of the paper: "To speed up the join processing, we build
 /// indices on columns MatrixID, OrderID, and KernelID. The processing of
 /// join is performed by scanning the feature map table and probing the
-/// kernel tables." A HashIndex is exactly that probe structure, built once
-/// per (table, column) and reused by every hash join whose build side is an
-/// unfiltered scan of the indexed table — which is precisely the shape of
-/// the generated neural-operator joins (static kernel/mapping tables on the
-/// build side, per-query feature tables probing).
+/// kernel tables." A HashIndex is exactly that probe structure: the hash
+/// join's own table, built once per (table, column) by Catalog::CreateIndex
+/// and reused by every hash join whose build side is an unfiltered scan of
+/// the indexed table — which is precisely the shape of the generated
+/// neural-operator joins (static kernel/mapping tables on the build side,
+/// per-query feature tables probing).
 #pragma once
 
-#include <memory>
-#include <unordered_map>
-#include <vector>
-
-#include "common/result.h"
-#include "db/table.h"
+#include "db/exec/hash_join.h"
 
 namespace dl2sql::db {
 
 /// \brief Immutable hash index over one INT64 column of a table snapshot.
-class HashIndex {
- public:
-  /// Builds the index; the column must be INT64 (NULL rows are skipped, as
-  /// NULL keys never join).
-  static Result<std::shared_ptr<HashIndex>> Build(const Table& table,
-                                                  int column_index);
-
-  /// Row ids holding `key`, or nullptr if absent.
-  const std::vector<int64_t>* Lookup(int64_t key) const {
-    auto it = map_.find(key);
-    return it == map_.end() ? nullptr : &it->second;
-  }
-
-  int column_index() const { return column_index_; }
-  int64_t indexed_rows() const { return indexed_rows_; }
-  size_t num_keys() const { return map_.size(); }
-
- private:
-  HashIndex() = default;
-
-  int column_index_ = -1;
-  int64_t indexed_rows_ = 0;
-  std::unordered_map<int64_t, std::vector<int64_t>> map_;
-};
+using HashIndex = HashJoinTable;
 
 }  // namespace dl2sql::db

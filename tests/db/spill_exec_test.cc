@@ -397,11 +397,12 @@ TEST(SpillExecTest, LongStringGroupKeysSpillWhenTheirPayloadOverflows) {
 }
 
 TEST(SpillExecTest, LaterWindowsWithNullsSwitchAccumulatorsMidStream) {
-  // The first chunks hold no NULLs, so grouping starts on the typed int map
-  // and the aggregates on the typed kernels. Later chunks bring NULL keys
-  // and NULL arguments: the grouper re-indexes its groups by canonical hash
-  // and the kernel states convert to the boxed row form mid-stream. Results
-  // must equal whole-table aggregation either way.
+  // The first chunks hold no NULLs, so key verification starts on raw
+  // INT64 compares and the aggregates on the typed kernels. Later chunks
+  // bring NULL keys and NULL arguments: the same key table carries on with
+  // canonical verification (a NULL key is one more group), and the kernel
+  // states convert to the boxed row form mid-stream. Results must equal
+  // whole-table aggregation either way.
   const TableSchema schema({{"grp", DataType::kInt64},
                             {"ival", DataType::kInt64},
                             {"val", DataType::kFloat64}});
@@ -496,6 +497,40 @@ TEST(SpillExecTest, OrderByOverBudgetReportsMissingSpillSort) {
       << r.status().ToString();
   EXPECT_NE(r.status().ToString().find("spillable sort"), std::string::npos)
       << r.status().ToString();
+}
+
+TEST(SpillExecTest, CrossJoinResidualFiltersSliceBySliceUnderBudget) {
+  ScopedTrackingEnabled guard;
+  REQUIRE_TRACKING(guard);
+  // 3000 x 3000 = 9M pairs, ~144 MB as (left, right) row-id pairs, of which
+  // the non-equi residual keeps 8. Gathered and filtered in bounded slices,
+  // the join fits an 8 MB budget and matches the unlimited result.
+  const auto fill = [](Database* db) {
+    Table a{TableSchema({{"x", DataType::kInt64}})};
+    Table b{TableSchema({{"y", DataType::kInt64}})};
+    for (int64_t i = 0; i < 3000; ++i) {
+      DL2SQL_CHECK(a.AppendRow({Value::Int(i)}).ok());
+      DL2SQL_CHECK(b.AppendRow({Value::Int(i)}).ok());
+    }
+    DL2SQL_CHECK(db->RegisterTable("a", std::move(a)).ok());
+    DL2SQL_CHECK(db->RegisterTable("b", std::move(b)).ok());
+  };
+  const char* const sql = "SELECT a.x, b.y FROM a, b WHERE a.x + b.y = 7";
+  Database ref;
+  fill(&ref);
+  auto want = ref.Execute(sql);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  EXPECT_EQ(want->num_rows(), 8);
+
+  Database db;
+  fill(&db);
+  db.set_query_mem_limit(8 << 20);
+  auto got = db.Execute(sql);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got->ToString(got->num_rows()), want->ToString(want->num_rows()));
+  const PlanNode* join = FindJoin(*db.last_plan());
+  ASSERT_NE(join, nullptr);
+  EXPECT_TRUE(join->equi_keys.empty());
 }
 
 TEST(SpillExecTest, DmlHealsAndRepagesTables) {

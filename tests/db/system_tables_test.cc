@@ -222,6 +222,43 @@ TEST(SystemTablesTest, SlowQueryThresholdEmitsWarnWithPlan) {
             std::string::npos);
 }
 
+TEST(SystemTablesTest, SlowQueryWarnPrintsTheStatementsOwnPlan) {
+  // The UDF body runs its own statement on the same database, as DL2SQL's
+  // per-layer pipeline statements do, so the database-wide last plan is the
+  // inner one by the time the outer statement finishes. The outer WARN must
+  // still print the outer statement's plan.
+  Database db;
+  FillTables(&db);
+  Table side{TableSchema({{"k", DataType::kInt64}})};
+  for (int64_t i = 0; i < 4; ++i) {
+    ASSERT_TRUE(side.AppendRow({Value::Int(i)}).ok());
+  }
+  ASSERT_TRUE(db.RegisterTable("side_lookup", std::move(side)).ok());
+  ScalarUdf udf;
+  udf.name = "inner_count";
+  udf.arity = 1;
+  udf.return_type = DataType::kInt64;
+  udf.fn = [&db](const std::vector<Value>&) -> Result<Value> {
+    DL2SQL_ASSIGN_OR_RETURN(
+        Table t, db.Execute("SELECT count(*) AS n FROM side_lookup"));
+    return t.column(0).GetValue(0);
+  };
+  db.udfs().Register(udf);
+  db.set_slow_query_ms(0.0001);  // everything is slow now
+
+  ::testing::internal::CaptureStderr();
+  auto r = db.Execute("SELECT id, inner_count(val) AS n FROM readings");
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  // Inner statements finish, and log, before the outer one.
+  const size_t outer = err.rfind("slow query");
+  ASSERT_NE(outer, std::string::npos) << err;
+  const std::string warn = err.substr(outer);
+  EXPECT_NE(warn.find("FROM readings"), std::string::npos) << warn;
+  EXPECT_NE(warn.find("Scan readings"), std::string::npos) << warn;
+  EXPECT_EQ(warn.find("side_lookup"), std::string::npos) << warn;
+}
+
 TEST(SystemTablesTest, ExplainAnalyzeReportsOperatorTotals) {
   Database db;
   FillTables(&db);

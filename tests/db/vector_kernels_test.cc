@@ -200,11 +200,6 @@ TEST(VectorHashKeyTest, MatchesEncodeRowKeyAcrossTypes) {
   Column ints = Column::Ints({1, 2, 3, 1});
   Column floats = Column::Floats({1.0, 2.5, 3.0, 1.0});
   Column strs = Column::Strings({"a", "b", "a", "a"});
-  Column with_null{DataType::kInt64};
-  ASSERT_TRUE(with_null.Append(Value::Int(7)).ok());
-  ASSERT_TRUE(with_null.Append(Value::Null()).ok());
-  ASSERT_TRUE(with_null.Append(Value::Int(7)).ok());
-  ASSERT_TRUE(with_null.Append(Value::Null()).ok());
 
   const std::vector<const Column*> a = {&ints, &strs};
   const std::vector<const Column*> b = {&floats, &strs};
@@ -223,14 +218,6 @@ TEST(VectorHashKeyTest, MatchesEncodeRowKeyAcrossTypes) {
   uint64_t batch[4];
   HashKeyRange(a, 0, 4, batch);
   for (int64_t r = 0; r < 4; ++r) EXPECT_EQ(batch[r], HashKeyRow(a, r));
-
-  // NULL detection mirrors RowKeyHasNull.
-  const std::vector<const Column*> nullable = {&ints, &with_null};
-  uint8_t nulls[4];
-  KeyNullRange(nullable, 0, 4, nulls);
-  for (int64_t r = 0; r < 4; ++r) {
-    EXPECT_EQ(nulls[r] != 0, RowKeyHasNull(nullable, r)) << "row " << r;
-  }
 }
 
 TEST(VectorHashKeyTest, EncodeColumnKeysRangeMatchesAppendKeyPart) {
